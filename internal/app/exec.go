@@ -18,12 +18,6 @@ type Placement interface {
 	HostFor(service string) *cluster.Server
 }
 
-// PlacementFunc adapts a function to the Placement interface.
-type PlacementFunc func(service string) *cluster.Server
-
-// HostFor implements Placement.
-func (f PlacementFunc) HostFor(service string) *cluster.Server { return f(service) }
-
 // Executor replays requests of an application Spec against a cluster. One
 // request walks its region's stages: the API-layer job first, then each
 // stage's calls with their per-call concurrency bounds, recording a span
@@ -117,12 +111,6 @@ func NewExecutor(eng *sim.Engine, spec *Spec, place Placement, col *trace.Collec
 		NetDelay: 100 * time.Microsecond,
 	}
 }
-
-// Spec returns the application the executor replays.
-func (x *Executor) Spec() *Spec { return x.spec }
-
-// Collector returns the trace collector receiving spans.
-func (x *Executor) Collector() *trace.Collector { return x.col }
 
 // SetProfiler attaches a phase profiler to the executor's invocation
 // counter (nil detaches). Wired by the engine builder.

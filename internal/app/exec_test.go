@@ -26,17 +26,18 @@ func zeroJitterStudy() *Spec {
 	return s
 }
 
-// onePlacement places every service on the single given server.
-func onePlacement(srv *cluster.Server) Placement {
-	return PlacementFunc(func(string) *cluster.Server { return srv })
-}
+// onePlacement places every service on the single server srv (nil: no
+// service has a running instance).
+type onePlacement struct{ srv *cluster.Server }
+
+func (p onePlacement) HostFor(string) *cluster.Server { return p.srv }
 
 func newTestExecutor(t *testing.T, spec *Spec, cores int) (*sim.Engine, *Executor, *cluster.Server) {
 	t.Helper()
 	eng := sim.NewEngine(42)
 	srv := cluster.NewServer(eng, "n1", cluster.RoleNormalWorker, cores)
 	col := trace.NewCollector()
-	x := NewExecutor(eng, spec, onePlacement(srv), col, eng.RNG().Stream("exec"))
+	x := NewExecutor(eng, spec, onePlacement{srv}, col, eng.RNG().Stream("exec"))
 	x.NetDelay = 0
 	return eng, x, srv
 }
@@ -168,7 +169,7 @@ func TestNetDelayAddsLatency(t *testing.T) {
 	engB := sim.NewEngine(42)
 	srvB := cluster.NewServer(engB, "n1", cluster.RoleNormalWorker, 8)
 	colB := trace.NewCollector()
-	xB := NewExecutor(engB, spec, onePlacement(srvB), colB, engB.RNG().Stream("exec"))
+	xB := NewExecutor(engB, spec, onePlacement{srvB}, colB, engB.RNG().Stream("exec"))
 	xB.NetDelay = time.Millisecond
 	var respB time.Duration
 	xB.Launch("B", func(tr *trace.Trace) { respB = tr.Response() })
@@ -211,7 +212,7 @@ func TestUnplacedServicePanics(t *testing.T) {
 	spec := zeroJitterStudy()
 	eng := sim.NewEngine(1)
 	col := trace.NewCollector()
-	x := NewExecutor(eng, spec, PlacementFunc(func(string) *cluster.Server { return nil }), col, eng.RNG().Stream("e"))
+	x := NewExecutor(eng, spec, onePlacement{}, col, eng.RNG().Stream("e"))
 	x.NetDelay = 0
 	defer func() {
 		if recover() == nil {
@@ -227,7 +228,7 @@ func TestManyRequestsAllComplete(t *testing.T) {
 	eng := sim.NewEngine(7)
 	srv := cluster.NewServer(eng, "n1", cluster.RoleNormalWorker, 24)
 	col := trace.NewCollector()
-	x := NewExecutor(eng, spec, onePlacement(srv), col, eng.RNG().Stream("exec"))
+	x := NewExecutor(eng, spec, onePlacement{srv}, col, eng.RNG().Stream("exec"))
 	for i := 0; i < 50; i++ {
 		at := time.Duration(i) * 10 * time.Millisecond
 		eng.Schedule(at, func() { x.Launch("B", nil) })

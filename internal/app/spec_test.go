@@ -70,7 +70,8 @@ func TestTable4Weights(t *testing.T) {
 		"station": 91, "route": 51, "config": 32, "train": 50.4,
 	}
 	for svc, w := range wantW {
-		got := a.Weight(svc)
+		c, _ := a.CallTo(svc)
+		got := c.Weight()
 		if math.Abs(float64(got)-w*float64(time.Millisecond)) > float64(50*time.Microsecond) {
 			t.Fatalf("W_A[%s] = %v, want %.1fms", svc, got, w)
 		}
@@ -78,12 +79,13 @@ func TestTable4Weights(t *testing.T) {
 	b := s.Region("B")
 	wantWB := map[string]float64{"ticketinfo": 8.2, "basic": 5.6, "station": 2.4, "route": 1.4}
 	for svc, w := range wantWB {
-		got := b.Weight(svc)
+		c, _ := b.CallTo(svc)
+		got := c.Weight()
 		if math.Abs(float64(got)-w*float64(time.Millisecond)) > float64(50*time.Microsecond) {
 			t.Fatalf("W_B[%s] = %v, want %.1fms", svc, got, w)
 		}
 	}
-	if b.Weight("seat") != 0 {
+	if _, ok := b.CallTo("seat"); ok {
 		t.Fatal("W_B[seat] should be 0")
 	}
 }
@@ -183,36 +185,6 @@ func TestRegionAggregates(t *testing.T) {
 	}
 	if len(a.Calls()) != 8 {
 		t.Fatalf("flattened calls = %d, want 8", len(a.Calls()))
-	}
-}
-
-func TestUnthrottledResponse(t *testing.T) {
-	s := TwoRegionStudy()
-	ra := s.UnthrottledResponse("A")
-	rb := s.UnthrottledResponse("B")
-	if ra <= rb {
-		t.Fatalf("A (%v) should be slower than B (%v)", ra, rb)
-	}
-	// Region B: 3ms API + max(2*4.1, 2*2.8) + max(2*1.2, 1*1.4) = 13.6ms.
-	want := 13600 * time.Microsecond
-	if math.Abs(float64(rb-want)) > float64(100*time.Microsecond) {
-		t.Fatalf("unthrottled B = %v, want ~%v", rb, want)
-	}
-	if s.UnthrottledResponse("nope") != 0 {
-		t.Fatal("unknown region should be 0")
-	}
-}
-
-func TestRegionsCalling(t *testing.T) {
-	s := TwoRegionStudy()
-	if got := len(s.RegionsCalling("ticketinfo")); got != 2 {
-		t.Fatalf("ticketinfo called by %d regions, want 2", got)
-	}
-	if got := len(s.RegionsCalling("seat")); got != 1 {
-		t.Fatalf("seat called by %d regions, want 1", got)
-	}
-	if got := len(s.RegionsCalling("nope")); got != 0 {
-		t.Fatalf("unknown service called by %d regions, want 0", got)
 	}
 }
 

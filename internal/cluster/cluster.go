@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"servicefridge/internal/sim"
 )
@@ -62,15 +61,6 @@ func (c *Cluster) Workers() []*Server {
 // Size returns the number of servers.
 func (c *Cluster) Size() int { return len(c.servers) }
 
-// TotalCores sums cores over all servers.
-func (c *Cluster) TotalCores() int {
-	n := 0
-	for _, s := range c.servers {
-		n += s.Cores()
-	}
-	return n
-}
-
 // SetAllFreq applies one frequency to every server.
 func (c *Cluster) SetAllFreq(f GHz) {
 	for _, s := range c.servers {
@@ -85,16 +75,6 @@ func (c *Cluster) SetAllMaxFreq(max GHz) {
 	for _, s := range c.servers {
 		s.SetMaxFreq(max)
 	}
-}
-
-// SortedNames returns all server names sorted, for stable report output.
-func (c *Cluster) SortedNames() []string {
-	names := make([]string, len(c.servers))
-	for i, s := range c.servers {
-		names[i] = s.Name()
-	}
-	sort.Strings(names)
-	return names
 }
 
 // DefaultTestbed builds the five-node cluster of Table 2: one manager

@@ -296,9 +296,6 @@ func (s *Server) SetMaxFreq(max GHz) {
 	}
 }
 
-// MaxFreq returns the active frequency clamp (0 when unclamped).
-func (s *Server) MaxFreq() GHz { return s.maxFreq }
-
 // Utilization returns the fraction of core capacity busy between two
 // cumulative BusyCoreTime readings taken window apart.
 func Utilization(busyDelta time.Duration, cores int, window time.Duration) float64 {

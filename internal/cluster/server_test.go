@@ -289,8 +289,12 @@ func TestClusterConstruction(t *testing.T) {
 	if c.Size() != 5 {
 		t.Fatalf("testbed size = %d, want 5", c.Size())
 	}
-	if c.TotalCores() != 30 {
-		t.Fatalf("total cores = %d, want 30", c.TotalCores())
+	cores := 0
+	for _, s := range c.Servers() {
+		cores += s.Cores()
+	}
+	if cores != 30 {
+		t.Fatalf("total cores = %d, want 30", cores)
 	}
 	if c.Server("serverA").Role() != RoleManager {
 		t.Fatal("serverA should be manager")
@@ -362,8 +366,8 @@ func TestBusyTimeConservationProperty(t *testing.T) {
 func TestSetMaxFreqClampsNowAndLater(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := NewServer(eng, "n1", RoleNormalWorker, 2)
-	if s.MaxFreq() != 0 {
-		t.Fatalf("new server clamped at %v, want unclamped", s.MaxFreq())
+	if s.maxFreq != 0 {
+		t.Fatalf("new server clamped at %v, want unclamped", s.maxFreq)
 	}
 	s.SetMaxFreq(1.8)
 	if s.Freq() != 1.8 {
@@ -392,8 +396,8 @@ func TestMaxFreqSnapshotRoundTrip(t *testing.T) {
 	s.SetMaxFreq(0)
 	s.SetFreq(2.4)
 	s.Restore(snap)
-	if s.MaxFreq() != 1.6 || s.Freq() != 1.6 {
-		t.Fatalf("restore lost the clamp: max=%v freq=%v", s.MaxFreq(), s.Freq())
+	if s.maxFreq != 1.6 || s.Freq() != 1.6 {
+		t.Fatalf("restore lost the clamp: max=%v freq=%v", s.maxFreq, s.Freq())
 	}
 }
 
@@ -402,8 +406,8 @@ func TestClusterSetAllMaxFreq(t *testing.T) {
 	c := DefaultTestbed(eng)
 	c.SetAllMaxFreq(2.0)
 	for _, s := range c.Servers() {
-		if s.Freq() != 2.0 || s.MaxFreq() != 2.0 {
-			t.Fatalf("server %s freq=%v max=%v, want 2.0/2.0", s.Name(), s.Freq(), s.MaxFreq())
+		if s.Freq() != 2.0 || s.maxFreq != 2.0 {
+			t.Fatalf("server %s freq=%v max=%v, want 2.0/2.0", s.Name(), s.Freq(), s.maxFreq)
 		}
 	}
 }

@@ -161,6 +161,3 @@ func (c *Counter) Advance() Slot {
 	c.slotCompletions = make(map[string]float64)
 	return snap
 }
-
-// Slots returns the closed slot history.
-func (c *Counter) Slots() []Slot { return c.slots }

@@ -97,8 +97,8 @@ func TestCounterSlots(t *testing.T) {
 	if s2.Pending["ticketinfo"] != 2 {
 		t.Fatalf("slot2 pending[ticketinfo] = %v, want 2", s2.Pending["ticketinfo"])
 	}
-	if len(c.Slots()) != 2 {
-		t.Fatalf("recorded %d slots, want 2", len(c.Slots()))
+	if len(c.slots) != 2 {
+		t.Fatalf("recorded %d slots, want 2", len(c.slots))
 	}
 }
 

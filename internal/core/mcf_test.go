@@ -13,10 +13,10 @@ func studyGraph() *Graph { return BuildGraph(app.TwoRegionStudy()) }
 
 func TestGraphStructure(t *testing.T) {
 	g := studyGraph()
-	if got := len(g.Services()); got != 8 {
+	if got := len(g.services); got != 8 {
 		t.Fatalf("V_F has %d vertices, want 8", got)
 	}
-	if got := len(g.APIs()); got != 2 {
+	if got := len(g.apis); got != 2 {
 		t.Fatalf("V_A has %d vertices, want 2", got)
 	}
 	if g.EdgeCount("A") != 8 || g.EdgeCount("B") != 4 {

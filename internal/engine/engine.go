@@ -83,8 +83,6 @@ type Config struct {
 	ExtraWorkers int
 	// Mix is the region request mix; nil defaults to A:B = 1:1.
 	Mix *workload.Mix
-	// Think is per-worker think time between requests (nil = none).
-	Think sim.Dist
 	// Phases optionally schedules workload changes (Figure 13); applied
 	// from t=0.
 	Phases []workload.Phase
@@ -148,7 +146,7 @@ type Config struct {
 	// counts, and (for control-rate phases) allocation bytes are
 	// attributed to the build/dispatch/exec/tick/mcf/zones/telemetry/
 	// encode/seal/snapshot phases. When nil and process-wide profiling is
-	// enabled (prof.Enabled()), BuildE creates and registers one labelled
+	// enabled (prof.SetEnabled), BuildE creates and registers one labelled
 	// ProfLabel. Passive like Events/Telemetry/Ledger: the profiler reads
 	// only the monotonic wall clock, so a profiled run's outputs are
 	// byte-identical to an unprofiled run's.
@@ -470,7 +468,7 @@ func BuildE(cfg Config) (*Result, error) {
 		launcher = built.WrapLauncher(exec)
 	}
 
-	res.Gen = workload.NewClosedLoop(eng, launcher, eng.RNG().Stream("workload"), cfg.Mix, cfg.Think)
+	res.Gen = workload.NewClosedLoop(eng, launcher, eng.RNG().Stream("workload"), cfg.Mix)
 	res.Pools = make(map[string]*workload.ClosedLoop)
 	res.OpenLoops = make(map[string]*workload.OpenLoop)
 	profileRegions := map[string]bool{}
@@ -483,7 +481,7 @@ func BuildE(cfg Config) (*Result, error) {
 		regionMix := workload.NewMix([]string{region}, map[string]float64{region: 1})
 		if cfg.PoolWorkers[region] > 0 || (cfg.ProfileClosed && profileRegions[region]) {
 			pool := workload.NewClosedLoop(eng, launcher,
-				eng.RNG().Stream("workload-"+region), regionMix, cfg.Think)
+				eng.RNG().Stream("workload-"+region), regionMix)
 			res.Pools[region] = pool
 		}
 		if cfg.OpenLoopRate[region] > 0 || (!cfg.ProfileClosed && profileRegions[region]) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 
@@ -198,6 +199,25 @@ func (s Scenario) Normalize() (Scenario, error) {
 	}
 	if tel.IntervalMS < 0 || tel.WindowTicks < 0 || tel.SLOTargetMS < 0 {
 		return s, fmt.Errorf("scenario: telemetry options must not be negative")
+	}
+	// Converted anyway, a span whose nanoseconds overflow int64 would wrap
+	// to a negative time.Duration.
+	for _, f := range []struct {
+		name  string
+		value float64
+		unit  time.Duration
+	}{
+		{"warmup_s", s.WarmupS, time.Second},
+		{"duration_s", s.DurationS, time.Second},
+		{"warmup_s + duration_s", s.WarmupS + s.DurationS, time.Second},
+		{"tick_ms", s.TickMS, time.Millisecond},
+		{"telemetry interval_ms", tel.IntervalMS, time.Millisecond},
+		{"telemetry slo_target_ms", tel.SLOTargetMS, time.Millisecond},
+	} {
+		if f.value*float64(f.unit) >= math.MaxInt64 {
+			return s, fmt.Errorf("scenario: %s %v overflows the longest time.Duration (%v)",
+				f.name, f.value, time.Duration(math.MaxInt64))
+		}
 	}
 	s.Telemetry = &tel
 	return s, nil

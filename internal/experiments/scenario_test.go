@@ -156,6 +156,20 @@ func TestScenarioValidation(t *testing.T) {
 			t.Errorf("case %d: Normalize accepted invalid scenario %+v", i, s)
 		}
 	}
+	// Spans whose nanoseconds overflow int64 are rejected by name instead
+	// of wrapping to negative durations.
+	for _, c := range []struct{ body, field string }{
+		{`{"duration_s":1e10}`, "duration_s"},
+		{`{"warmup_s":1e10}`, "warmup_s"},
+		{`{"warmup_s":5e9,"duration_s":5e9}`, "warmup_s + duration_s"},
+		{`{"tick_ms":1e13}`, "tick_ms"},
+		{`{"telemetry":{"interval_ms":1e13}}`, "interval_ms"},
+		{`{"telemetry":{"slo_target_ms":1e13}}`, "slo_target_ms"},
+	} {
+		if _, err := LoadScenario(strings.NewReader(c.body)); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("LoadScenario(%s) = %v, want an overflow error naming %s", c.body, err, c.field)
+		}
+	}
 	if _, err := LoadScenario(strings.NewReader(`{"schem":"Baseline"}`)); err == nil {
 		t.Error("LoadScenario accepted an unknown field")
 	}

@@ -179,9 +179,6 @@ func (f *Fridge) Calculator() *core.Calculator { return f.calc }
 // Classifier exposes the criticality classifier (for tuning).
 func (f *Fridge) Classifier() *core.Classifier { return f.classifier }
 
-// Counter exposes the live indegree counters.
-func (f *Fridge) Counter() *core.Counter { return f.counter }
-
 // Promotions and Demotions count Algorithm 1 actions.
 func (f *Fridge) Promotions() uint64 { return f.promotions }
 

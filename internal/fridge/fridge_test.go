@@ -36,10 +36,10 @@ func harness(t *testing.T, fraction float64) (*sim.Engine, *Fridge, *schemes.Con
 // feed pushes n pseudo-requests per region into the counters.
 func feed(f *Fridge, nA, nB int) {
 	for i := 0; i < nA; i++ {
-		f.Counter().Observe("A")
+		f.counter.Observe("A")
 	}
 	for i := 0; i < nB; i++ {
-		f.Counter().Observe("B")
+		f.counter.Observe("B")
 	}
 }
 
@@ -183,12 +183,12 @@ func TestWrapLauncherFeedsCounters(t *testing.T) {
 	wrapped := f.WrapLauncher(inner)
 	wrapped.Launch("A", nil)
 	wrapped.Launch("B", nil)
-	if f.Counter().Pending("ticketinfo") != 2 {
-		t.Fatalf("pending = %v, want 2", f.Counter().Pending("ticketinfo"))
+	if f.counter.Pending("ticketinfo") != 2 {
+		t.Fatalf("pending = %v, want 2", f.counter.Pending("ticketinfo"))
 	}
 	eng.RunFor(time.Second)
-	if f.Counter().Pending("ticketinfo") != 0 {
-		t.Fatalf("pending after completion = %v, want 0", f.Counter().Pending("ticketinfo"))
+	if f.counter.Pending("ticketinfo") != 0 {
+		t.Fatalf("pending after completion = %v, want 0", f.counter.Pending("ticketinfo"))
 	}
 }
 

@@ -11,13 +11,11 @@ import (
 func msd(n float64) time.Duration { return time.Duration(n * float64(time.Millisecond)) }
 
 func TestLatencyStatsBasics(t *testing.T) {
-	s := NewLatencyStats()
+	s := FromSamples(nil)
 	if s.Mean() != 0 || s.Count() != 0 || s.Percentile(0.5) != 0 {
 		t.Fatal("empty stats should be zero")
 	}
-	for _, v := range []float64{10, 20, 30, 40, 50} {
-		s.Add(msd(v))
-	}
+	s = FromSamples([]time.Duration{msd(10), msd(20), msd(30), msd(40), msd(50)})
 	if s.Count() != 5 {
 		t.Fatalf("count = %d", s.Count())
 	}
@@ -36,7 +34,7 @@ func TestLatencyStatsBasics(t *testing.T) {
 }
 
 func TestLatencyStatsMinMaxEdgeCases(t *testing.T) {
-	empty := NewLatencyStats()
+	empty := FromSamples(nil)
 	if empty.Min() != 0 || empty.Max() != 0 {
 		t.Fatalf("empty Min/Max = %v/%v, want 0/0", empty.Min(), empty.Max())
 	}
@@ -51,21 +49,9 @@ func TestLatencyStatsMinMaxEdgeCases(t *testing.T) {
 			s.Min(), s.Max(), s.Percentile(0), s.Percentile(1))
 	}
 	// Min/Max before any Percentile call must still trigger the sort.
-	u := NewLatencyStats()
-	u.Add(msd(9))
-	u.Add(msd(3))
+	u := FromSamples([]time.Duration{msd(9), msd(3)})
 	if u.Min() != msd(3) || u.Max() != msd(9) {
 		t.Fatalf("unsorted Min/Max = %v/%v, want 3ms/9ms", u.Min(), u.Max())
-	}
-}
-
-func TestLatencyStatsInterleavedAddAndQuery(t *testing.T) {
-	s := NewLatencyStats()
-	s.Add(msd(10))
-	_ = s.Percentile(0.5) // forces a sort
-	s.Add(msd(5))         // must invalidate sort
-	if s.Min() != msd(5) {
-		t.Fatal("sort invalidation broken")
 	}
 }
 
@@ -101,10 +87,11 @@ func TestPercentileOrderingProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		s := NewLatencyStats()
-		for _, v := range raw {
-			s.Add(time.Duration(v))
+		ds := make([]time.Duration, len(raw))
+		for i, v := range raw {
+			ds[i] = time.Duration(v)
 		}
+		s := FromSamples(ds)
 		// Percentiles are monotone and mean lies within [min, max].
 		last := time.Duration(-1)
 		for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.95, 0.99, 1} {
@@ -118,77 +105,6 @@ func TestPercentileOrderingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	s := FromSamples([]time.Duration{msd(1), msd(2), msd(3), msd(4), msd(5)})
-	pts := s.CDF(5)
-	if len(pts) != 5 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	if pts[0].Value != msd(1) || pts[0].Frac != 0 {
-		t.Fatalf("first point %+v", pts[0])
-	}
-	if pts[4].Value != msd(5) || pts[4].Frac != 1 {
-		t.Fatalf("last point %+v", pts[4])
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Value < pts[i-1].Value || pts[i].Frac <= pts[i-1].Frac {
-			t.Fatal("CDF not monotone")
-		}
-	}
-	if s2 := NewLatencyStats(); s2.CDF(5) != nil {
-		t.Fatal("empty CDF should be nil")
-	}
-}
-
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram([]time.Duration{msd(0), msd(1), msd(2), msd(5)})
-	h.Add(msd(0.5)) // bin 0
-	h.Add(msd(1))   // bin 0 (right-closed)
-	h.Add(msd(1.5)) // bin 1
-	h.Add(msd(4))   // bin 2
-	h.Add(msd(5))   // bin 2
-	h.Add(msd(6))   // over
-	h.Add(msd(0))   // under (left edge exclusive)
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[2] != 2 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	if h.Over != 1 || h.Under != 1 {
-		t.Fatalf("over/under = %d/%d", h.Over, h.Under)
-	}
-	if h.Total() != 5 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	fr := h.Fractions()
-	if math.Abs(fr[0]-0.4) > 1e-9 {
-		t.Fatalf("fractions = %v", fr)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	for _, edges := range [][]time.Duration{
-		{msd(1)},
-		{msd(2), msd(1)},
-		{msd(1), msd(1)},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("edges %v should panic", edges)
-				}
-			}()
-			NewHistogram(edges)
-		}()
-	}
-}
-
-func TestHistogramFractionsEmpty(t *testing.T) {
-	h := NewHistogram([]time.Duration{msd(0), msd(1)})
-	fr := h.Fractions()
-	if len(fr) != 1 || fr[0] != 0 {
-		t.Fatalf("fractions = %v", fr)
 	}
 }
 

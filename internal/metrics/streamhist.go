@@ -51,26 +51,15 @@ func histWidth(i int) uint64 {
 	return 1 << (uint(i>>histSubBits) - 1)
 }
 
-// BucketWidth returns the width of the streaming-histogram bucket holding
-// d — the resolution StreamingHistogram.Quantile promises relative to the
-// exact sample quantile at that value.
-func BucketWidth(d time.Duration) time.Duration {
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(histWidth(histIndex(uint64(d))))
-}
-
 // StreamingHistogram accumulates duration samples into fixed log-spaced
 // buckets. Unlike LatencyStats it never retains samples: memory is
 // constant, Add never allocates, and Quantile answers within one bucket
-// width of the exact (sim.Quantile) result. Min, max, count and sum are
-// tracked exactly, so Quantile(0), Quantile(1) and Mean are exact. The
+// width of the exact (sim.Quantile) result. Min, max and count are
+// tracked exactly, so Quantile(0) and Quantile(1) are exact. The
 // zero value is an empty, ready-to-use histogram.
 type StreamingHistogram struct {
 	counts   [histBuckets]uint64
 	count    uint64
-	sum      time.Duration
 	min, max time.Duration
 }
 
@@ -86,55 +75,20 @@ func (h *StreamingHistogram) Add(d time.Duration) {
 		h.max = d
 	}
 	h.count++
-	h.sum += d
 	h.counts[histIndex(uint64(d))]++
 }
 
 // Count returns the number of recorded samples.
 func (h *StreamingHistogram) Count() uint64 { return h.count }
 
-// Sum returns the exact total of all samples.
-func (h *StreamingHistogram) Sum() time.Duration { return h.sum }
-
-// Min returns the exact smallest sample, or 0 when empty.
-func (h *StreamingHistogram) Min() time.Duration { return h.min }
-
 // Max returns the exact largest sample, or 0 when empty.
 func (h *StreamingHistogram) Max() time.Duration { return h.max }
-
-// Mean returns the exact arithmetic mean, or 0 when empty.
-func (h *StreamingHistogram) Mean() time.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.count)
-}
 
 // Reset returns the histogram to its empty state without releasing its
 // (entirely inline) storage, so a recycled histogram records again with
 // zero allocations — the telemetry layer rotates sliding-window
 // sub-histograms through Reset every sampling tick.
 func (h *StreamingHistogram) Reset() { *h = StreamingHistogram{} }
-
-// Merge folds every sample of o into h. Counts are bucket-exact, so a
-// merged histogram answers Quantile exactly as if every sample had been
-// Added to h directly. Merging an empty histogram is a no-op.
-func (h *StreamingHistogram) Merge(o *StreamingHistogram) {
-	if o.count == 0 {
-		return
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
-}
 
 // Quantile returns the q-quantile (q in [0,1]) with the same linear
 // interpolation between order statistics as sim.Quantile, each order

@@ -28,9 +28,6 @@ func NewWindowedHistogram(w int) *WindowedHistogram {
 	return &WindowedHistogram{subs: make([]StreamingHistogram, w)}
 }
 
-// Width returns the window width in sub-histograms.
-func (h *WindowedHistogram) Width() int { return len(h.subs) }
-
 // Add records one sample into the current sub-histogram.
 func (h *WindowedHistogram) Add(d time.Duration) { h.subs[h.cur].Add(d) }
 
@@ -78,32 +75,14 @@ func (h *WindowedHistogram) Max() time.Duration {
 	return max
 }
 
-// Sum returns the exact total of all samples in the window.
-func (h *WindowedHistogram) Sum() time.Duration {
-	var sum time.Duration
-	for i := range h.subs {
-		sum += h.subs[i].sum
-	}
-	return sum
-}
-
-// Mean returns the exact arithmetic mean over the window, or 0 when empty.
-func (h *WindowedHistogram) Mean() time.Duration {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / time.Duration(n)
-}
-
 // maxWindowQuantiles bounds one Quantiles call (p50/p95/p99 plus headroom).
 const maxWindowQuantiles = 8
 
 // Quantiles resolves up to maxWindowQuantiles quantiles in one cumulative
 // walk, writing out[i] for qs[i]. The result of each quantile is identical
-// to merging every sub-histogram into one StreamingHistogram and calling
-// its Quantile — the property the unit tests pin — but without building
-// the merged histogram. It never allocates.
+// to one StreamingHistogram holding every sample in the window — the
+// property the unit tests pin — but without building that histogram. It
+// never allocates.
 func (h *WindowedHistogram) Quantiles(qs []float64, out []time.Duration) {
 	if len(qs) > maxWindowQuantiles || len(out) < len(qs) {
 		panic("metrics: WindowedHistogram.Quantiles called with a bad shape")
@@ -203,15 +182,6 @@ func (h *WindowedHistogram) Quantiles(qs []float64, out []time.Duration) {
 	}
 }
 
-// Quantile answers one quantile over the window; see Quantiles.
-func (h *WindowedHistogram) Quantile(q float64) time.Duration {
-	var qs [1]float64
-	var out [1]time.Duration
-	qs[0] = q
-	h.Quantiles(qs[:], out[:])
-	return out[0]
-}
-
 // Clone returns an independent deep copy of the window: the sub-histograms
 // are value types, so copying the slice contents shares no state with the
 // parent — mutating either side never shows in the other.
@@ -231,14 +201,4 @@ func (h *WindowedHistogram) CopyFrom(src *WindowedHistogram) {
 	}
 	copy(h.subs, src.subs)
 	h.cur = src.cur
-}
-
-// MergedInto folds every live sub-histogram into dst (after resetting it)
-// — the reference the fused walk is tested against, and a convenience for
-// offline consumers that want a full StreamingHistogram of the window.
-func (h *WindowedHistogram) MergedInto(dst *StreamingHistogram) {
-	dst.Reset()
-	for i := range h.subs {
-		dst.Merge(&h.subs[i])
-	}
 }

@@ -131,16 +131,6 @@ func (l *Ledger) Entries() []LedgerEntry {
 	return append([]LedgerEntry(nil), l.entries...)
 }
 
-// Chain returns the current chain value — a fingerprint of the whole run
-// so far. Two runs with equal chains (and equal entry counts) produced
-// identical ledgers.
-func (l *Ledger) Chain() uint64 {
-	if l == nil {
-		return fnvOffset
-	}
-	return l.chain
-}
-
 // appendHex appends `"key":"<16-digit hex>"` preceded by a comma.
 func appendHex(b []byte, key string, v uint64) []byte {
 	b = append(b, ',', '"')

@@ -29,8 +29,8 @@ func sealSome() (*Recorder, *Ledger) {
 func TestLedgerDeterministicChain(t *testing.T) {
 	_, a := sealSome()
 	_, b := sealSome()
-	if a.Chain() != b.Chain() || a.Len() != b.Len() {
-		t.Fatalf("identical scripts sealed different ledgers: %x vs %x", a.Chain(), b.Chain())
+	if a.chain != b.chain || a.Len() != b.Len() {
+		t.Fatalf("identical scripts sealed different ledgers: %x vs %x", a.chain, b.chain)
 	}
 	ea, eb := a.Entries(), b.Entries()
 	for i := range ea {
@@ -88,7 +88,7 @@ func TestLedgerEmitTimeHashing(t *testing.T) {
 	if tiny.Dropped() == 0 {
 		t.Fatal("tiny recorder did not wrap")
 	}
-	if bigLed.Chain() != tinyLed.Chain() {
+	if bigLed.chain != tinyLed.chain {
 		t.Fatal("ring wraparound changed the ledger chain")
 	}
 }
@@ -151,14 +151,14 @@ func TestLedgerSnapshotRestore(t *testing.T) {
 	// Diverge: extra events and seals...
 	rec.Emit(2600, Restart{Service: "seat", Node: "serverB"})
 	led.Seal(4000, 50, 51)
-	divergedChain := led.Chain()
+	divergedChain := led.chain
 
 	// ...then rewind and replay the original continuation.
 	led.Restore(snap)
 	rec.Restore(recSnap)
 	rec.Emit(2600, Restart{Service: "seat", Node: "serverB"})
 	led.Seal(4000, 50, 51)
-	if led.Chain() != divergedChain {
+	if led.chain != divergedChain {
 		t.Fatal("restored ledger did not re-seal the same chain")
 	}
 	if led.Len() != 4 {

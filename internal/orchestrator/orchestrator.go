@@ -30,9 +30,6 @@ type Container struct {
 	stopping bool
 }
 
-// Active reports whether the container is serving traffic.
-func (c *Container) Active() bool { return c.active }
-
 // Orchestrator tracks container placement for one cluster and implements
 // app.Placement (HostFor) for the request executor.
 type Orchestrator struct {
@@ -152,12 +149,6 @@ func (o *Orchestrator) DeployPinned(service, node string) *Container {
 	return o.Place(service, n, true)
 }
 
-// Instances returns the containers of service (active and starting), in
-// creation order.
-func (o *Orchestrator) Instances(service string) []*Container {
-	return o.byService[service]
-}
-
 // NodesOf returns the distinct nodes hosting active instances of service.
 func (o *Orchestrator) NodesOf(service string) []*cluster.Server {
 	seen := map[string]bool{}
@@ -183,18 +174,6 @@ func (o *Orchestrator) ServicesOn(node *cluster.Server) []string {
 	out := make([]string, 0, len(seen))
 	for s := range seen {
 		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Services returns every service with at least one container, sorted.
-func (o *Orchestrator) Services() []string {
-	out := make([]string, 0, len(o.byService))
-	for s, list := range o.byService {
-		if len(list) > 0 {
-			out = append(out, s)
-		}
 	}
 	sort.Strings(out)
 	return out

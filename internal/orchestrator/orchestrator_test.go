@@ -57,7 +57,7 @@ func TestPinnedDeployment(t *testing.T) {
 	_, cl := testCluster()
 	o := New(cl)
 	c := o.DeployPinned("observed", "serverB")
-	if !c.Active() || c.Node.Name() != "serverB" {
+	if !c.active || c.Node.Name() != "serverB" {
 		t.Fatal("pinned container wrong")
 	}
 	if o.HostFor("observed").Name() != "serverB" {
@@ -70,7 +70,7 @@ func TestStartupDelayGatesTraffic(t *testing.T) {
 	o := New(cl)
 	o.Place("svc", cl.Server("serverC1"), true)
 	c2 := o.Place("svc", cl.Server("serverC2"), false)
-	if c2.Active() {
+	if c2.active {
 		t.Fatal("new container active before startup delay")
 	}
 	// Until activation every call goes to C1.
@@ -80,7 +80,7 @@ func TestStartupDelayGatesTraffic(t *testing.T) {
 		}
 	}
 	eng.RunFor(time.Second)
-	if !c2.Active() {
+	if !c2.active {
 		t.Fatal("container did not activate after delay")
 	}
 	seen := map[string]bool{}
@@ -102,15 +102,15 @@ func TestMoveServiceStartNewThenKillOld(t *testing.T) {
 	if o.HostFor("svc").Name() != "serverC1" {
 		t.Fatal("traffic dropped during migration")
 	}
-	if len(o.Instances("svc")) != 2 {
-		t.Fatalf("instances during migration = %d, want 2", len(o.Instances("svc")))
+	if len(o.byService["svc"]) != 2 {
+		t.Fatalf("instances during migration = %d, want 2", len(o.byService["svc"]))
 	}
 	eng.RunFor(time.Second)
 	nodes := o.NodesOf("svc")
 	if len(nodes) != 1 || nodes[0].Name() != "serverC2" {
 		t.Fatalf("after migration on %v, want serverC2", nodes)
 	}
-	if len(o.Instances("svc")) != 1 {
+	if len(o.byService["svc"]) != 1 {
 		t.Fatal("old instance not terminated")
 	}
 	if o.Migrations() != 1 {
@@ -126,7 +126,7 @@ func TestMoveServiceNoopWhenAlreadyPlaced(t *testing.T) {
 	if o.Migrations() != 0 {
 		t.Fatal("no-op move counted as migration")
 	}
-	if len(o.Instances("svc")) != 1 {
+	if len(o.byService["svc"]) != 1 {
 		t.Fatal("no-op move changed instances")
 	}
 }
@@ -182,7 +182,7 @@ func TestRemoveIdempotent(t *testing.T) {
 	if o.Stopped() != 1 {
 		t.Fatalf("stopped = %d, want 1", o.Stopped())
 	}
-	if len(o.Instances("svc")) != 0 {
+	if len(o.byService["svc"]) != 0 {
 		t.Fatal("instance list not emptied")
 	}
 }
@@ -197,7 +197,7 @@ func TestLifecycleCounters(t *testing.T) {
 	if o.Started() != 3 || o.Stopped() != 1 {
 		t.Fatalf("started/stopped = %d/%d, want 3/1", o.Started(), o.Stopped())
 	}
-	if got := o.Services(); len(got) != 2 {
-		t.Fatalf("services = %v", got)
+	if got := len(o.byService); got != 2 {
+		t.Fatalf("%d services, want 2", got)
 	}
 }

@@ -38,7 +38,6 @@ func TestMeterTagAttributionConservation(t *testing.T) {
 		m := NewMeter(cl, DefaultModel(), 100*time.Millisecond)
 		m.Start()
 		eng.RunUntil(sim.Time(time.Second))
-		m.Stop()
 
 		for _, smp := range m.Samples() {
 			var sum Watts

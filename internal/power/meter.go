@@ -52,7 +52,6 @@ type Meter struct {
 	samples []Sample
 	totals  []ClusterSample
 	last    map[string]Sample
-	timer   sim.Timer
 	started bool
 }
 
@@ -89,15 +88,7 @@ func (m *Meter) Start() {
 			m.lastBusyTag[s.Name()][tag] = s.BusyCoreTimeByTag(tag)
 		}
 	}
-	m.timer = m.eng.Every(m.interval, m.sample)
-}
-
-// Stop halts sampling.
-func (m *Meter) Stop() {
-	if m.started {
-		m.timer.Stop()
-		m.started = false
-	}
+	m.eng.Every(m.interval, m.sample)
 }
 
 func (m *Meter) sample() {
@@ -186,17 +177,6 @@ func (m *Meter) LastCluster() (ClusterSample, bool) {
 func (m *Meter) LastServer(name string) (Sample, bool) {
 	s, ok := m.last[name]
 	return s, ok
-}
-
-// ServerSeries returns the readings for one server in time order.
-func (m *Meter) ServerSeries(name string) []Sample {
-	var out []Sample
-	for _, s := range m.samples {
-		if s.Server == name {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // TagPowerSeries returns, per sampling instant, the dynamic power

@@ -69,27 +69,3 @@ func (m Model) Power(f cluster.GHz, u float64) Watts {
 	}
 	return m.Idle + Watts(u)*(m.PeakAt(f)-m.Idle)
 }
-
-// Dynamic returns the dynamic component (total minus idle) at (f, u).
-func (m Model) Dynamic(f cluster.GHz, u float64) Watts {
-	return m.Power(f, u) - m.Idle
-}
-
-// MaxDynamic returns the largest possible dynamic draw (full utilization at
-// FMax).
-func (m Model) MaxDynamic() Watts { return m.Peak - m.Idle }
-
-// FreqForPower returns the highest P-state whose fully-utilized draw does
-// not exceed target. If even the lowest P-state exceeds target, the lowest
-// P-state is returned (a server cannot be powered below idle by DVFS).
-func (m Model) FreqForPower(target Watts) cluster.GHz {
-	best := cluster.FreqMin
-	for _, f := range cluster.PStates() {
-		if m.PeakAt(f) <= target {
-			best = f
-		} else {
-			break
-		}
-	}
-	return best
-}

@@ -3,7 +3,6 @@ package power
 import (
 	"math"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"servicefridge/internal/cluster"
@@ -52,13 +51,10 @@ func TestModelClampsUtil(t *testing.T) {
 
 func TestDynamicComponent(t *testing.T) {
 	m := DefaultModel()
-	if got := m.Dynamic(cluster.FreqMax, 1.0); math.Abs(float64(got-55)) > 1e-9 {
+	if got := m.Power(cluster.FreqMax, 1.0) - m.Idle; math.Abs(float64(got-55)) > 1e-9 {
 		t.Fatalf("max dynamic = %v, want 55W", got)
 	}
-	if m.MaxDynamic() != 55 {
-		t.Fatalf("MaxDynamic = %v, want 55", m.MaxDynamic())
-	}
-	if got := m.Dynamic(cluster.FreqMax, 0); got != 0 {
+	if got := m.Power(cluster.FreqMax, 0) - m.Idle; got != 0 {
 		t.Fatalf("idle dynamic = %v, want 0", got)
 	}
 }
@@ -66,41 +62,10 @@ func TestDynamicComponent(t *testing.T) {
 func TestCubicScaling(t *testing.T) {
 	m := DefaultModel()
 	// At half frequency the dynamic component should be 1/8.
-	half := m.Dynamic(1.2, 1.0)
-	full := m.Dynamic(2.4, 1.0)
+	half := m.Power(1.2, 1.0) - m.Idle
+	full := m.Power(2.4, 1.0) - m.Idle
 	if math.Abs(float64(half)/float64(full)-0.125) > 1e-9 {
 		t.Fatalf("dynamic at fmin/fmax ratio = %v, want 0.125", float64(half)/float64(full))
-	}
-}
-
-func TestFreqForPower(t *testing.T) {
-	m := DefaultModel()
-	if got := m.FreqForPower(100); got != cluster.FreqMax {
-		t.Fatalf("FreqForPower(100) = %v, want 2.4", got)
-	}
-	// Below even the min P-state's peak draw, must return FreqMin.
-	if got := m.FreqForPower(1); got != cluster.FreqMin {
-		t.Fatalf("FreqForPower(1) = %v, want 1.2", got)
-	}
-	// The chosen frequency's peak draw never exceeds the target when the
-	// target is achievable.
-	f := func(raw uint8) bool {
-		target := Watts(52 + float64(raw%49)) // 52..100 W (>= PeakAt(FreqMin))
-		got := m.FreqForPower(target)
-		return m.PeakAt(got) <= target+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFreqForPowerPicksHighestFitting(t *testing.T) {
-	m := DefaultModel()
-	for _, f := range cluster.PStates() {
-		got := m.FreqForPower(m.PeakAt(f))
-		if got != f {
-			t.Fatalf("FreqForPower(PeakAt(%v)) = %v, want %v", f, got, f)
-		}
 	}
 }
 
@@ -113,14 +78,8 @@ func TestBudgetArithmetic(t *testing.T) {
 	if got := b.Cap(); math.Abs(float64(got-400)) > 1e-9 {
 		t.Fatalf("cap = %v, want 400W", got)
 	}
-	if got := b.PerServerCap(); math.Abs(float64(got-80)) > 1e-9 {
-		t.Fatalf("per-server cap = %v, want 80W", got)
-	}
 	if !b.Violated(401) || b.Violated(399) {
 		t.Fatal("violation detection wrong")
-	}
-	if got := b.Headroom(350); math.Abs(float64(got-50)) > 1e-9 {
-		t.Fatalf("headroom = %v, want 50W", got)
 	}
 }
 
@@ -131,21 +90,6 @@ func TestBudgetClampsFraction(t *testing.T) {
 	}
 	if b := NewBudget(m, 1, 1.5); b.Fraction != 1 {
 		t.Fatal("fraction not clamped to 1")
-	}
-}
-
-func TestBudgetUniformFreqDropsWithBudget(t *testing.T) {
-	m := DefaultModel()
-	prev := cluster.FreqMax
-	for _, frac := range []float64{1.0, 0.95, 0.9, 0.85, 0.8, 0.75} {
-		f := NewBudget(m, 5, frac).UniformFreq()
-		if f > prev {
-			t.Fatalf("uniform freq rose when budget fell: %v at %v", f, frac)
-		}
-		prev = f
-	}
-	if NewBudget(m, 5, 1.0).UniformFreq() != cluster.FreqMax {
-		t.Fatal("100% budget should allow FreqMax")
 	}
 }
 
@@ -174,27 +118,26 @@ func TestMeterSamplesUtilAndPower(t *testing.T) {
 	m := NewMeter(cl, DefaultModel(), 100*time.Millisecond)
 	m.Start()
 	eng.RunUntil(sim.Time(time.Second))
-	m.Stop()
 
 	if len(m.ClusterSamples()) != 10 {
 		t.Fatalf("got %d cluster samples, want 10", len(m.ClusterSamples()))
 	}
-	n1 := m.ServerSeries("n1")
-	if len(n1) != 10 {
-		t.Fatalf("got %d n1 samples, want 10", len(n1))
+	n1 := 0
+	for _, s := range m.Samples() {
+		switch s.Server {
+		case "n1":
+			n1++
+			if math.Abs(s.Util-1.0) > 1e-9 || math.Abs(float64(s.Power-100)) > 1e-9 {
+				t.Fatalf("n1 util/power = %v/%v, want 1.0/100W", s.Util, s.Power)
+			}
+		case "n2":
+			if math.Abs(s.Util-0.5) > 1e-9 {
+				t.Fatalf("n2 util = %v, want 0.5", s.Util)
+			}
+		}
 	}
-	for _, s := range n1 {
-		if math.Abs(s.Util-1.0) > 1e-9 {
-			t.Fatalf("n1 util = %v, want 1.0", s.Util)
-		}
-		if math.Abs(float64(s.Power-100)) > 1e-9 {
-			t.Fatalf("n1 power = %v, want 100W", s.Power)
-		}
-	}
-	for _, s := range m.ServerSeries("n2") {
-		if math.Abs(s.Util-0.5) > 1e-9 {
-			t.Fatalf("n2 util = %v, want 0.5", s.Util)
-		}
+	if n1 != 10 {
+		t.Fatalf("got %d n1 samples, want 10", n1)
 	}
 }
 
@@ -247,14 +190,8 @@ func TestMeterStartIdempotentAndStop(t *testing.T) {
 	m.Start()
 	m.Start()
 	eng.RunUntil(sim.Time(300 * time.Millisecond))
-	m.Stop()
-	n := len(m.ClusterSamples())
-	if n != 3 {
+	if n := len(m.ClusterSamples()); n != 3 {
 		t.Fatalf("got %d samples, want 3 (double Start must not double-sample)", n)
-	}
-	eng.RunUntil(sim.Time(time.Second))
-	if len(m.ClusterSamples()) != n {
-		t.Fatal("meter kept sampling after Stop")
 	}
 }
 

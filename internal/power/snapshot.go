@@ -18,7 +18,6 @@ type MeterState struct {
 	samples     []Sample
 	totals      []ClusterSample
 	last        map[string]Sample
-	timer       sim.Timer
 	started     bool
 }
 
@@ -31,7 +30,6 @@ func (m *Meter) Snapshot() *MeterState {
 		samples:     m.samples,
 		totals:      m.totals,
 		last:        make(map[string]Sample, len(m.last)),
-		timer:       m.timer,
 		started:     m.started,
 	}
 	for name, d := range m.lastBusy {
@@ -57,7 +55,6 @@ func (m *Meter) Restore(s *MeterState) {
 	m.lastAt = s.lastAt
 	m.samples = s.samples
 	m.totals = s.totals
-	m.timer = s.timer
 	m.started = s.started
 	clear(m.lastBusy)
 	for name, d := range s.lastBusy {

@@ -12,7 +12,7 @@ import (
 // enabled flag.
 func withRegistry(t *testing.T, on bool) {
 	t.Helper()
-	prev := Enabled()
+	prev := enabled.Load()
 	SetEnabled(on)
 	Reset()
 	t.Cleanup(func() {

@@ -32,9 +32,6 @@ var (
 // pointer test on a nil profiler.
 func SetEnabled(on bool) { enabled.Store(on) }
 
-// Enabled reports whether process-wide profiling is on.
-func Enabled() bool { return enabled.Load() }
-
 // New returns a registered profiler for label when profiling is enabled,
 // and nil (the disabled profiler) otherwise. An empty label aggregates
 // under "run".

@@ -38,18 +38,6 @@ func TestBuiltinRegistrations(t *testing.T) {
 	}
 }
 
-// TestNewUnknownScheme: unknown names surface as an error listing the known
-// schemes — the panic-free path CLIs rely on.
-func TestNewUnknownScheme(t *testing.T) {
-	_, err := New("NoSuchScheme", BuildInput{})
-	if err == nil {
-		t.Fatal("New with an unknown name returned nil error")
-	}
-	if !strings.Contains(err.Error(), "NoSuchScheme") || !strings.Contains(err.Error(), "Baseline") {
-		t.Fatalf("error %q should name the unknown scheme and the known set", err)
-	}
-}
-
 // TestRegisterValidation: incomplete or duplicate registrations are
 // programming errors and panic at init time.
 func TestRegisterValidation(t *testing.T) {
@@ -85,9 +73,11 @@ func TestExtensionRegistration(t *testing.T) {
 			return Built{Scheme: NewBaseline(in.Ctx)}
 		},
 	})
-	if _, err := New("test-extension", BuildInput{}); err != nil {
-		t.Fatalf("New(test-extension) = %v", err)
+	r, ok := Lookup("test-extension")
+	if !ok {
+		t.Fatal("Lookup(test-extension) found nothing after Register")
 	}
+	r.New(BuildInput{})
 	if !called {
 		t.Fatal("factory was not invoked")
 	}

@@ -229,9 +229,6 @@ func NewTFirst(ctx *Context, spec *app.Spec) *TFirst {
 // Name implements Scheme.
 func (t *TFirst) Name() string { return "T-first" }
 
-// Order exposes the fastest-first service ranking (for tests/reports).
-func (t *TFirst) Order() []string { return append([]string(nil), t.order...) }
-
 // Tick implements Scheme.
 func (t *TFirst) Tick() {
 	ctx := t.ctx

@@ -127,7 +127,7 @@ func TestPFirstRecoversWithHeadroom(t *testing.T) {
 func TestTFirstOrderIsFastestFirst(t *testing.T) {
 	_, ctx := testContext(t, 0.8, 0)
 	tf := NewTFirst(ctx, app.TwoRegionStudy())
-	order := tf.Order()
+	order := tf.order
 	if len(order) != 8 {
 		t.Fatalf("order has %d services, want 8", len(order))
 	}

@@ -344,6 +344,9 @@ func TestQueueCancelAndErrors(t *testing.T) {
 	if code, _ := doReq(t, "POST", ts.URL+"/sessions", `{"scheme":"NoSuch"}`); code != http.StatusBadRequest {
 		t.Errorf("bad scenario accepted: %d", code)
 	}
+	if code, _ := doReq(t, "POST", ts.URL+"/sessions", `{"duration_s":1e10}`); code != http.StatusBadRequest {
+		t.Errorf("overflowing duration accepted: %d", code)
+	}
 	if code, _ := doReq(t, "GET", ts.URL+"/sessions/nope/status", ""); code != http.StatusNotFound {
 		t.Errorf("unknown session status: %d", code)
 	}

@@ -162,23 +162,3 @@ func TestTimerSlotRecyclingIsGenerationSafe(t *testing.T) {
 	}
 	_ = tm2
 }
-
-// TestStoppedReportsPendingCancellation covers the Timer.Stopped accessor.
-func TestStoppedReportsPendingCancellation(t *testing.T) {
-	eng := NewEngine(1)
-	tm := eng.After(time.Second, func() {})
-	if tm.Stopped() {
-		t.Fatal("fresh timer reports stopped")
-	}
-	tm.Stop()
-	if !tm.Stopped() {
-		t.Fatal("stopped timer not reported")
-	}
-	eng.Run()
-	if tm.Stopped() {
-		t.Fatal("recycled slot still reports stopped for a stale handle")
-	}
-	if (Timer{}).Stopped() {
-		t.Fatal("zero Timer reports stopped")
-	}
-}

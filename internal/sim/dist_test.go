@@ -2,66 +2,32 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-func sampleMean(d Dist, r *RNG, n int) float64 {
+func TestExponentialMeanConverges(t *testing.T) {
+	r := NewRNG(7)
+	want := float64(10 * time.Millisecond)
+	n := 200000
 	var sum float64
 	for i := 0; i < n; i++ {
-		sum += float64(d.Sample(r))
+		sum += r.Exp(want)
 	}
-	return sum / float64(n)
-}
-
-func TestDeterministicDist(t *testing.T) {
-	d := Det(5 * time.Millisecond)
-	r := NewRNG(1)
-	for i := 0; i < 10; i++ {
-		if d.Sample(r) != 5*time.Millisecond {
-			t.Fatal("deterministic sample varied")
-		}
-	}
-	if d.Mean() != 5*time.Millisecond {
-		t.Fatal("mean wrong")
-	}
-}
-
-func TestExponentialMeanConverges(t *testing.T) {
-	d := Exp(10 * time.Millisecond)
-	got := sampleMean(d, NewRNG(7), 200000)
-	want := float64(10 * time.Millisecond)
+	got := sum / float64(n)
 	if math.Abs(got-want)/want > 0.02 {
 		t.Fatalf("exp sample mean %.3gns, want within 2%% of %.3gns", got, want)
 	}
 }
 
-func TestUniformBoundsAndMean(t *testing.T) {
-	d := Uniform{Lo: 2 * time.Millisecond, Hi: 6 * time.Millisecond}
-	r := NewRNG(3)
-	for i := 0; i < 10000; i++ {
-		s := d.Sample(r)
-		if s < d.Lo || s > d.Hi {
-			t.Fatalf("uniform sample %v outside [%v,%v]", s, d.Lo, d.Hi)
-		}
-	}
-	if d.Mean() != 4*time.Millisecond {
-		t.Fatalf("mean = %v, want 4ms", d.Mean())
-	}
-	got := sampleMean(d, NewRNG(4), 100000)
-	if math.Abs(got-float64(4*time.Millisecond))/float64(4*time.Millisecond) > 0.02 {
-		t.Fatalf("uniform sample mean off: %v", got)
-	}
-}
-
 func TestLogNormalMeanAndSpread(t *testing.T) {
-	d := LogN(20*time.Millisecond, 4*time.Millisecond)
 	r := NewRNG(11)
 	n := 200000
 	var sum, sumsq float64
 	for i := 0; i < n; i++ {
-		v := float64(d.Sample(r))
+		v := r.LogNormal(float64(20*time.Millisecond), float64(4*time.Millisecond))
 		if v < 0 {
 			t.Fatal("negative lognormal sample")
 		}
@@ -75,50 +41,6 @@ func TestLogNormalMeanAndSpread(t *testing.T) {
 	}
 	if math.Abs(std-float64(4*time.Millisecond))/float64(4*time.Millisecond) > 0.05 {
 		t.Fatalf("lognormal stddev %.4g, want ~4ms", std)
-	}
-}
-
-func TestEmpiricalSamplesFromObservations(t *testing.T) {
-	obs := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}
-	d := Empirical{Obs: obs}
-	r := NewRNG(5)
-	seen := map[time.Duration]bool{}
-	for i := 0; i < 1000; i++ {
-		s := d.Sample(r)
-		seen[s] = true
-		found := false
-		for _, o := range obs {
-			if s == o {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("sample %v not among observations", s)
-		}
-	}
-	if len(seen) != 3 {
-		t.Fatalf("saw %d distinct values, want 3", len(seen))
-	}
-	if d.Mean() != 2*time.Millisecond {
-		t.Fatalf("mean = %v, want 2ms", d.Mean())
-	}
-}
-
-func TestEmpiricalEmpty(t *testing.T) {
-	d := Empirical{}
-	if d.Sample(NewRNG(1)) != 0 || d.Mean() != 0 {
-		t.Fatal("empty empirical should sample 0")
-	}
-}
-
-func TestScaledMultipliesSamples(t *testing.T) {
-	base := Det(10 * time.Millisecond)
-	d := Scaled{Base: base, Factor: 1.5}
-	if d.Sample(NewRNG(1)) != 15*time.Millisecond {
-		t.Fatal("scaled sample wrong")
-	}
-	if d.Mean() != 15*time.Millisecond {
-		t.Fatal("scaled mean wrong")
 	}
 }
 
@@ -155,7 +77,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 			}
 			ds[i] = d
 		}
-		SortDurations(ds)
+		slices.Sort(ds)
 		lo := float64(qa%101) / 100
 		hi := float64(qb%101) / 100
 		if lo > hi {
@@ -219,18 +141,5 @@ func TestRNGNormMoments(t *testing.T) {
 	}
 	if math.Abs(std-2) > 0.05 {
 		t.Fatalf("norm std %v, want ~2", std)
-	}
-}
-
-func TestRNGShuffleIsPermutation(t *testing.T) {
-	r := NewRNG(8)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, 10)
-	for _, v := range xs {
-		if seen[v] {
-			t.Fatal("duplicate after shuffle")
-		}
-		seen[v] = true
 	}
 }

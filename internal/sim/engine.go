@@ -111,9 +111,6 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // the dispatch phase as self time.
 func (e *Engine) SetProfiler(p *prof.Profiler) { e.prof = p }
 
-// Profiler returns the attached phase profiler (nil when unprofiled).
-func (e *Engine) Profiler() *prof.Profiler { return e.prof }
-
 // Grow pre-allocates calendar capacity for at least n pending events, so a
 // run with a known event population never reallocates the heap slice.
 func (e *Engine) Grow(n int) {
@@ -159,16 +156,6 @@ func (t Timer) Stop() {
 	if st := &t.eng.timers[t.slot]; st.gen == t.gen {
 		st.stopped = true
 	}
-}
-
-// Stopped reports whether Stop has been called and the timer is still the
-// owner of its slot (i.e. the cancellation is pending).
-func (t Timer) Stopped() bool {
-	if t.eng == nil || int(t.slot) >= len(t.eng.timers) {
-		return false
-	}
-	st := &t.eng.timers[t.slot]
-	return st.gen == t.gen && st.stopped
 }
 
 // newTimer leases a cancellation slot from the freelist (or grows the

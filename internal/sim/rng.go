@@ -158,11 +158,3 @@ func (r *RNG) LogNormal(mean, stddev float64) float64 {
 	mu := math.Log(mean) - sigma2/2
 	return math.Exp(r.Norm(mu, math.Sqrt(sigma2)))
 }
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

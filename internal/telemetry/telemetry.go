@@ -442,9 +442,6 @@ func (t *Telemetry) Sample() {
 // Len returns the number of retained samples.
 func (t *Telemetry) Len() int { return t.n }
 
-// Dropped returns how many samples were overwritten by ring wraparound.
-func (t *Telemetry) Dropped() uint64 { return t.dropped }
-
 // Samples returns the retained samples oldest-first. Rows are deep
 // copies; this is the offline export path and allocates freely.
 func (t *Telemetry) Samples() []Sample {

@@ -177,8 +177,8 @@ func TestSampleRingWraps(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		h.tick()
 	}
-	if h.tel.Len() != 4 || h.tel.Dropped() != 3 {
-		t.Fatalf("Len=%d Dropped=%d, want 4/3", h.tel.Len(), h.tel.Dropped())
+	if h.tel.Len() != 4 || h.tel.dropped != 3 {
+		t.Fatalf("Len=%d Dropped=%d, want 4/3", h.tel.Len(), h.tel.dropped)
 	}
 	s := h.tel.Samples()
 	if s[0].At != sim.Time(4*time.Second) || s[3].At != sim.Time(7*time.Second) {

@@ -56,9 +56,6 @@ type Trace struct {
 // Response returns the request's end-to-end response time.
 func (t *Trace) Response() time.Duration { return t.Finish.Sub(t.Begin) }
 
-// Done reports whether the trace has been completed.
-func (t *Trace) Done() bool { return t.done }
-
 // CallCount returns how many times service was invoked in this request.
 func (t *Trace) CallCount(service string) int {
 	n := 0
@@ -68,17 +65,6 @@ func (t *Trace) CallCount(service string) int {
 		}
 	}
 	return n
-}
-
-// ServiceExec returns the total execution time spent in service.
-func (t *Trace) ServiceExec(service string) time.Duration {
-	var sum time.Duration
-	for _, s := range t.Spans {
-		if s.Service == service {
-			sum += s.Exec()
-		}
-	}
-	return sum
 }
 
 // series is a finish-ordered store of completed-trace response times.
@@ -170,8 +156,7 @@ func NewCollector() *Collector {
 
 // Presize primes the per-service execution tallies for the given services
 // (reserving spansPerService capacity each, if positive) so the map never
-// rehashes and early appends never reallocate on the hot path. Services
-// that never record a span stay invisible to Services()/MeanExec.
+// rehashes and early appends never reallocate on the hot path.
 func (c *Collector) Presize(services []string, spansPerService int) {
 	if c.execByService == nil {
 		c.execByService = make(map[string][]time.Duration, len(services))
@@ -311,23 +296,6 @@ func (c *Collector) Count(region string) int {
 	return 0
 }
 
-// ResponseTimes returns the response times of completed traces for region
-// ("" matches all), in completion order. The slice is the caller's to keep.
-func (c *Collector) ResponseTimes(region string) []time.Duration {
-	src := c.all.resp
-	if region != "" {
-		rs := c.byRegion[region]
-		if rs == nil {
-			return nil
-		}
-		src = rs.resp
-	}
-	if len(src) == 0 {
-		return nil
-	}
-	return append([]time.Duration(nil), src...)
-}
-
 // ResponseAfter returns response times of traces that finished at or after
 // cut, for region ("" matches all) — used to discard warm-up. Traces finish
 // in simulation-time order, so this is one binary search over the
@@ -344,31 +312,6 @@ func (c *Collector) ResponseAfter(region string, cut sim.Time) []time.Duration {
 // across all traces, in recording order.
 func (c *Collector) ServiceExecTimes(service string) []time.Duration {
 	return c.execByService[service]
-}
-
-// Services returns the names of all services with recorded spans, sorted.
-func (c *Collector) Services() []string {
-	out := make([]string, 0, len(c.execByService))
-	for s, xs := range c.execByService {
-		if len(xs) > 0 {
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// MeanExec returns the mean execution time recorded for service, or 0.
-func (c *Collector) MeanExec(service string) time.Duration {
-	xs := c.execByService[service]
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / time.Duration(len(xs))
 }
 
 // MeanCallTimes returns the average number of invocations of service per

@@ -41,9 +41,6 @@ func TestTraceLifecycle(t *testing.T) {
 	if tr.CallCount("route") != 2 || tr.CallCount("price") != 1 || tr.CallCount("x") != 0 {
 		t.Fatal("call counts wrong")
 	}
-	if tr.ServiceExec("route") != 6*time.Millisecond {
-		t.Fatalf("route exec = %v, want 6ms", tr.ServiceExec("route"))
-	}
 }
 
 func TestCollectorAggregation(t *testing.T) {
@@ -60,24 +57,14 @@ func TestCollectorAggregation(t *testing.T) {
 	if c.Count("") != 4 || c.Count("A") != 3 || c.Count("B") != 1 {
 		t.Fatal("counts wrong")
 	}
-	if got := c.ResponseTimes("A"); len(got) != 3 || got[0] != 20*time.Millisecond {
+	if got := c.ResponseAfter("A", 0); len(got) != 3 || got[0] != 20*time.Millisecond {
 		t.Fatalf("A responses = %v", got)
 	}
 	if got := c.ServiceExecTimes("seat"); len(got) != 4 {
 		t.Fatalf("seat execs = %v", got)
 	}
-	// Mean of 10,10,10,4 ms = 8.5ms.
-	if got := c.MeanExec("seat"); got != 8500*time.Microsecond {
-		t.Fatalf("mean exec = %v, want 8.5ms", got)
-	}
 	if got := c.MeanCallTimes("seat", "A"); got != 1 {
 		t.Fatalf("mean call times = %v, want 1", got)
-	}
-	if got := c.MeanExec("absent"); got != 0 {
-		t.Fatalf("absent mean exec = %v", got)
-	}
-	if svcs := c.Services(); len(svcs) != 1 || svcs[0] != "seat" {
-		t.Fatalf("services = %v", svcs)
 	}
 }
 

@@ -218,7 +218,7 @@ func newDriverRig(t *testing.T, p *Profile, closed bool) *driverRig {
 	rig := &driverRig{eng: eng, open: map[string]*OpenLoop{}, pools: map[string]*ClosedLoop{}}
 	for _, r := range []string{"A", "B"} {
 		if closed {
-			rig.pools[r] = NewClosedLoop(eng, l, eng.RNG().Stream("pool-"+r), NewMix([]string{r}, map[string]float64{r: 1}), nil)
+			rig.pools[r] = NewClosedLoop(eng, l, eng.RNG().Stream("pool-"+r), NewMix([]string{r}, map[string]float64{r: 1}))
 		} else {
 			rig.open[r] = NewOpenLoop(eng, l, eng.RNG().Stream("open-"+r), NewMix([]string{r}, map[string]float64{r: 1}))
 		}
@@ -237,21 +237,21 @@ func TestDriverAppliesSchedule(t *testing.T) {
 	)
 	rig := newDriverRig(t, p, false)
 	rig.eng.RunFor(time.Second)
-	if got := rig.open["A"].Rate(); got != 10 {
+	if got := rig.open["A"].rate; got != 10 {
 		t.Fatalf("A rate at t=1s: %v, want 10", got)
 	}
-	if got := rig.open["B"].Rate(); got != 4 {
+	if got := rig.open["B"].rate; got != 4 {
 		t.Fatalf("B rate at t=1s: %v, want 4", got)
 	}
 	rig.eng.RunFor(2 * time.Second)
-	if got := rig.open["A"].Rate(); got != 30 {
+	if got := rig.open["A"].rate; got != 30 {
 		t.Fatalf("A rate at t=3s: %v, want 30", got)
 	}
 	rig.eng.RunFor(2 * time.Second)
-	if got := rig.open["A"].Rate(); got != 0 {
+	if got := rig.open["A"].rate; got != 0 {
 		t.Fatalf("A rate at t=5s: %v, want 0", got)
 	}
-	if got := rig.open["B"].Rate(); got != 4 {
+	if got := rig.open["B"].rate; got != 4 {
 		t.Fatalf("B rate must persist: %v, want 4", got)
 	}
 }
@@ -280,11 +280,11 @@ func TestDriverScaleAndSwap(t *testing.T) {
 	rig := newDriverRig(t, p, false)
 	rig.eng.RunFor(time.Second)
 	rig.d.SetScale(2)
-	if got := rig.open["A"].Rate(); got != 20 {
+	if got := rig.open["A"].rate; got != 20 {
 		t.Fatalf("scaled rate: %v, want 20", got)
 	}
 	rig.eng.RunFor(1500 * time.Millisecond) // the t=2s setpoint fires scaled
-	if got := rig.open["A"].Rate(); got != 40 {
+	if got := rig.open["A"].rate; got != 40 {
 		t.Fatalf("scaled future setpoint: %v, want 40", got)
 	}
 
@@ -298,11 +298,11 @@ func TestDriverScaleAndSwap(t *testing.T) {
 	if err := rig.d.Swap(swap); err != nil {
 		t.Fatalf("Swap: %v", err)
 	}
-	if got := rig.open["A"].Rate(); got != 10 { // 5 × scale 2
+	if got := rig.open["A"].rate; got != 10 { // 5 × scale 2
 		t.Fatalf("post-swap rate: %v, want 10", got)
 	}
 	rig.eng.RunFor(time.Second)
-	if got := rig.open["A"].Rate(); got != 14 { // 7 × scale 2
+	if got := rig.open["A"].rate; got != 14 { // 7 × scale 2
 		t.Fatalf("post-swap future setpoint: %v, want 14", got)
 	}
 

@@ -63,21 +63,8 @@ func (m *Mix) Pick(r *sim.RNG) string {
 	return m.regions[len(m.regions)-1]
 }
 
-// Regions returns the regions with positive weight, in construction order.
-func (m *Mix) Regions() []string { return append([]string(nil), m.regions...) }
-
-// Share returns region's fraction of the total weight.
-func (m *Mix) Share(region string) float64 {
-	for i, r := range m.regions {
-		if r == region {
-			return m.weights[i] / m.total
-		}
-	}
-	return 0
-}
-
 // ClosedLoop drives a pool of synchronous workers: each worker launches a
-// request, waits for its completion, thinks, and repeats — the behaviour
+// request, waits for its completion, and repeats — the behaviour
 // of the paper's Python access programs. The pool size can be changed at
 // runtime (Figure 13 switches 5/15/25 workers every 60 s).
 type ClosedLoop struct {
@@ -85,7 +72,6 @@ type ClosedLoop struct {
 	launcher Launcher
 	rng      *sim.RNG
 	mix      *Mix
-	think    sim.Dist
 
 	// OnLaunch, if set, observes every request start — the hook the MCF
 	// calculator's indegree counters consume.
@@ -98,12 +84,8 @@ type ClosedLoop struct {
 }
 
 // NewClosedLoop creates a stopped pool; call SetWorkers to start it.
-// think may be nil for zero think time.
-func NewClosedLoop(eng *sim.Engine, l Launcher, rng *sim.RNG, mix *Mix, think sim.Dist) *ClosedLoop {
-	if think == nil {
-		think = sim.Det(0)
-	}
-	return &ClosedLoop{eng: eng, launcher: l, rng: rng, mix: mix, think: think}
+func NewClosedLoop(eng *sim.Engine, l Launcher, rng *sim.RNG, mix *Mix) *ClosedLoop {
+	return &ClosedLoop{eng: eng, launcher: l, rng: rng, mix: mix}
 }
 
 // Launched returns the number of requests started so far.
@@ -145,14 +127,7 @@ func (c *ClosedLoop) workerLoop() {
 	if c.OnLaunch != nil {
 		c.OnLaunch(region)
 	}
-	c.launcher.Launch(region, func(*trace.Trace) {
-		d := c.think.Sample(c.rng)
-		if d <= 0 {
-			c.workerLoop()
-			return
-		}
-		c.eng.Schedule(d, func() { c.workerLoop() })
-	})
+	c.launcher.Launch(region, func(*trace.Trace) { c.workerLoop() })
 }
 
 // OpenLoop issues requests as a Poisson process at a settable rate,
@@ -180,12 +155,6 @@ func NewOpenLoop(eng *sim.Engine, l Launcher, rng *sim.RNG, mix *Mix) *OpenLoop 
 
 // Launched returns the number of requests started so far.
 func (o *OpenLoop) Launched() uint64 { return o.launched }
-
-// Rate returns the current arrival rate in requests/second.
-func (o *OpenLoop) Rate() float64 { return o.rate }
-
-// SetMix swaps the request mix.
-func (o *OpenLoop) SetMix(m *Mix) { o.mix = m }
 
 // SetRate changes the arrival rate; 0 pauses the generator.
 func (o *OpenLoop) SetRate(perSecond float64) {
