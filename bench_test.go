@@ -200,15 +200,28 @@ func ablationConfig(seed uint64) engine.Config {
 	}
 }
 
+// mustBuild is engine.BuildE for fixture configs known to be valid.
+func mustBuild(tb testing.TB, cfg engine.Config) *engine.Result {
+	tb.Helper()
+	res, err := engine.BuildE(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func runAblation(b *testing.B, tune func(*fridge.Fridge), startup time.Duration) {
 	b.Helper()
 	b.ReportAllocs()
 	var meanA, meanB float64
 	for i := 0; i < b.N; i++ {
 		cfg := ablationConfig(1)
-		cfg.Tune = tune
 		cfg.StartupDelay = startup
-		res := engine.Run(cfg)
+		res := mustBuild(b, cfg)
+		if tune != nil {
+			tune(res.Fridge)
+		}
+		res.Finish()
 		meanA = metrics.Ms(res.Summary("A").Mean)
 		meanB = metrics.Ms(res.Summary("B").Mean)
 	}
@@ -373,13 +386,14 @@ func BenchmarkCollectorResponseAfter(b *testing.B) {
 // decomposition. Steady state is allocation-free (gated via
 // bench_gates.json).
 func BenchmarkCritPath(b *testing.B) {
-	res := engine.Run(engine.Config{
+	res := mustBuild(b, engine.Config{
 		Seed:        1,
 		PoolWorkers: map[string]int{"A": 10, "B": 10},
 		Warmup:      time.Second,
 		Duration:    3 * time.Second,
 		KeepSpans:   true,
 	})
+	res.Finish()
 	traces := res.Collector.Traces()
 	if len(traces) == 0 {
 		b.Fatal("fixture run produced no traces")
@@ -501,7 +515,7 @@ func BenchmarkMCFClassification(b *testing.B) {
 // Advanced Search request (about 260 microservice invocations).
 func BenchmarkRequestExecution(b *testing.B) {
 	b.ReportAllocs()
-	res := engine.Build(engine.Config{Seed: 1, KeepSpans: false})
+	res := mustBuild(b, engine.Config{Seed: 1, KeepSpans: false})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res.Executor.Launch("A", nil)
@@ -580,7 +594,7 @@ func BenchmarkPhaseScopeDisabled(b *testing.B) {
 // controller (classification + zoning + frequency planning) under load.
 func BenchmarkFridgeTick(b *testing.B) {
 	b.ReportAllocs()
-	res := engine.Build(ablationConfig(1))
+	res := mustBuild(b, ablationConfig(1))
 	res.Engine.RunFor(6 * time.Second) // reach steady state
 	f := res.Fridge
 	b.ResetTimer()

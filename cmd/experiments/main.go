@@ -264,11 +264,12 @@ func runScenario(path string, wl cliutil.WorkloadFlags, visited map[string]bool,
 	}
 	tel := sc.NewTelemetry()
 	cfg.Telemetry = tel
-	res, err := engine.RunE(cfg)
+	res, err := engine.BuildE(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		return 1
 	}
+	res.Finish()
 	cliutil.RunReport(os.Stdout, res, tel, sc.SLOTarget())
 	return 0
 }

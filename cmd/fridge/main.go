@@ -233,14 +233,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fridge: %v\n", err)
 		os.Exit(1)
 	}
-	var res *engine.Result
-	pprof.Do(context.Background(), pprof.Labels("run", "local"), func(context.Context) {
-		res, err = engine.RunE(cfg)
-	})
+	res, err := engine.BuildE(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	pprof.Do(context.Background(), pprof.Labels("run", "local"), func(context.Context) { res.Finish() })
 	if exports.Events != "" {
 		if err := cliutil.ExportFile(exports.Events, cfg.Events.WriteJSONL); err != nil {
 			fmt.Fprintf(os.Stderr, "events: %v\n", err)
@@ -316,22 +314,16 @@ func runSweep(cfg engine.Config, fracs []float64, warm bool) error {
 	cols = append(cols, "violations", "migrations")
 	tb := metrics.NewTable(fmt.Sprintf("Budget sweep (%s, %d workers)", cfg.Scheme, cfg.Workers), cols...)
 
-	row := func(res *engine.Result, frac float64) {
-		over := 0
-		samples := res.Meter.ClusterSamples()
-		for _, cs := range samples {
-			if res.Budget.Violated(cs.Total) {
-				over++
-			}
-		}
+	row := func(res *engine.Result, frac float64) []any {
 		vals := []any{fmt.Sprintf("%.0f%%", frac*100), fmt.Sprintf("%.1fW", float64(res.Budget.Cap()))}
 		for _, r := range regions {
 			vals = append(vals, res.Summary(r).P95)
 		}
-		vals = append(vals, fmt.Sprintf("%d/%d", over, len(samples)), res.Orch.Migrations())
-		tb.Rowf(vals...)
+		over, total := res.BudgetViolations()
+		return append(vals, fmt.Sprintf("%d/%d", over, total), res.Orch.Migrations())
 	}
 
+	var rows [][]any
 	if warm {
 		// The donor engine serves every cell, so the phase profile carries
 		// a single label: per-cell attribution needs a cold sweep.
@@ -340,29 +332,22 @@ func runSweep(cfg engine.Config, fracs []float64, warm bool) error {
 		if err != nil {
 			return err
 		}
-		donor.Engine.RunUntil(donor.WarmBarrier())
-		snap := donor.Snapshot()
-		for _, frac := range fracs {
-			donor.Restore(snap)
-			donor.SetBudgetFraction(frac)
-			donor.Finish()
-			row(donor, frac)
-		}
+		rows = engine.ForkEach(donor, fracs, (*engine.Result).SetBudgetFraction, row)
 	} else {
 		for _, frac := range fracs {
 			c := cfg
 			c.BudgetFraction = frac
 			c.ProfLabel = fmt.Sprintf("sweep[%.0f%%]", frac*100)
-			var res *engine.Result
-			var err error
-			pprof.Do(context.Background(), pprof.Labels("cell", c.ProfLabel), func(context.Context) {
-				res, err = engine.RunE(c)
-			})
+			res, err := engine.BuildE(c)
 			if err != nil {
 				return err
 			}
-			row(res, frac)
+			pprof.Do(context.Background(), pprof.Labels("cell", c.ProfLabel), func(context.Context) { res.Finish() })
+			rows = append(rows, row(res, frac))
 		}
+	}
+	for _, vals := range rows {
+		tb.Rowf(vals...)
 	}
 	fmt.Println(tb)
 	return nil

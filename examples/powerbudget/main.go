@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"servicefridge/internal/engine"
@@ -33,7 +34,12 @@ func main() {
 			cfg.Scheme = s
 			cfg.BudgetFraction = frac
 			cfg.MaxRequired = maxReq
-			return engine.Run(cfg)
+			res, err := engine.BuildE(cfg)
+			if err != nil {
+				log.Fatal(err)
+			}
+			res.Finish()
+			return res
 		}
 		capping := run(engine.Capping)
 		fridge := run(engine.ServiceFridge)

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"servicefridge/internal/engine"
@@ -18,7 +19,7 @@ func main() {
 	// deploys the two-region TrainTicket study application with the
 	// round-robin orchestrator, and attaches the ServiceFridge
 	// controller.
-	res := engine.Run(engine.Config{
+	res, err := engine.BuildE(engine.Config{
 		Seed:           42,
 		Scheme:         engine.ServiceFridge,
 		BudgetFraction: 0.8,
@@ -26,6 +27,10 @@ func main() {
 		Warmup:         3 * time.Second,
 		Duration:       10 * time.Second,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res.Finish()
 
 	fmt.Println("ServiceFridge quickstart — 80% power budget, 25+25 workers")
 	fmt.Println()

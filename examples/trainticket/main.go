@@ -8,12 +8,12 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"servicefridge/internal/app"
 	"servicefridge/internal/core"
 	"servicefridge/internal/engine"
-	"servicefridge/internal/fridge"
 	"servicefridge/internal/metrics"
 	"servicefridge/internal/orchestrator"
 	"servicefridge/internal/workload"
@@ -44,12 +44,15 @@ func main() {
 		Mix:            mix,
 		Warmup:         5 * time.Second,
 		Duration:       25 * time.Second,
-		// The classifier threshold is calibrated per deployment: the full
-		// graph spreads indegree over six regions, so the cut sits lower
-		// than the two-region study default.
-		Tune: func(f *fridge.Fridge) { f.Classifier().Threshold = 0.12 },
 	}
-	res := engine.Build(cfg)
+	res, err := engine.BuildE(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The classifier threshold is calibrated per deployment: the full
+	// graph spreads indegree over six regions, so the cut sits lower than
+	// the two-region study default.
+	res.Fridge.Classifier().Threshold = 0.12
 
 	// Resilience: crash the order container at t=15s; swarm restarts it.
 	res.Orch.SetFailurePolicy(orchestrator.FailurePolicy{
@@ -65,8 +68,7 @@ func main() {
 		}
 	})
 
-	res.Engine.RunFor(30 * time.Second)
-	res.Gen.Stop()
+	res.Finish()
 
 	tb := metrics.NewTable("Per-region QoS (post-warmup)", "region", "requests", "mean", "p90", "p99")
 	for _, region := range spec.RegionNames() {

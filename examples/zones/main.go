@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"servicefridge/internal/engine"
@@ -37,7 +38,10 @@ func main() {
 	cfg.Warmup = 5 * time.Second
 	cfg.Duration = 35 * time.Second
 
-	res := engine.Build(cfg)
+	res, err := engine.BuildE(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	report := func(phase string) {
 		fmt.Printf("— %s —\n", phase)
 		for _, z := range []fridge.Zone{fridge.Cold, fridge.Warm, fridge.Hot} {

@@ -38,13 +38,8 @@ func RunReport(w io.Writer, res *engine.Result, tel *telemetry.Telemetry, sloTar
 		float64(res.Budget.Cap()), float64(res.Meter.MeanDynamic()),
 		float64(res.Meter.PeakDynamic()), float64(res.Meter.DynamicRange()))
 
-	over := 0
-	for _, cs := range res.Meter.ClusterSamples() {
-		if res.Budget.Violated(cs.Total) {
-			over++
-		}
-	}
-	fmt.Fprintf(w, "budget violations: %d / %d samples\n", over, len(res.Meter.ClusterSamples()))
+	over, total := res.BudgetViolations()
+	fmt.Fprintf(w, "budget violations: %d / %d samples\n", over, total)
 	fmt.Fprintf(w, "migrations: %d  container starts: %d\n", res.Orch.Migrations(), res.Orch.Started())
 
 	if res.Fridge != nil {

@@ -12,11 +12,9 @@ type Counter struct {
 	g *Graph
 	// pending[s] is the number of live request-access edges into s.
 	pending map[string]float64
-	// arrivals/completions accumulate within the current slot for the
-	// slot history.
+	// arrivals/completions accumulate within the current slot.
 	slotArrivals    map[string]float64
 	slotCompletions map[string]float64
-	slots           []Slot
 }
 
 // Slot is the recorded state of one closed time slot.
@@ -145,7 +143,7 @@ func (c *Counter) RegionLoad() map[string]float64 {
 	return load
 }
 
-// Advance closes the current slot, recording its arrivals, completions and
+// Advance closes the current slot, returning its arrivals, completions and
 // final pending counts, and opens a new one.
 func (c *Counter) Advance() Slot {
 	snap := Slot{
@@ -156,7 +154,6 @@ func (c *Counter) Advance() Slot {
 	for s, v := range c.pending {
 		snap.Pending[s] = v
 	}
-	c.slots = append(c.slots, snap)
 	c.slotArrivals = make(map[string]float64)
 	c.slotCompletions = make(map[string]float64)
 	return snap

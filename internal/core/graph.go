@@ -47,8 +47,7 @@ func (e Edge) Weight() time.Duration { return time.Duration(e.CallTimes) * e.Exe
 // relationships, list regions, analyze call times).
 type Graph struct {
 	spec *app.Spec
-	// apis (V_A) and services (V_F) in stable order.
-	apis     []string
+	// services (V_F) in stable order.
 	services []string
 	// edges grouped by service, then by region, in stable order.
 	edges map[string][]Edge
@@ -68,7 +67,6 @@ func BuildGraph(spec *app.Spec) *Graph {
 	seenSvc := map[string]bool{}
 	for _, rn := range spec.RegionNames() {
 		r := spec.Region(rn)
-		g.apis = append(g.apis, r.API)
 		names := r.ServiceNames()
 		g.regionEdgeCount[rn] = len(names)
 		for _, sn := range names {

@@ -16,7 +16,7 @@ func TestGraphStructure(t *testing.T) {
 	if got := len(g.services); got != 8 {
 		t.Fatalf("V_F has %d vertices, want 8", got)
 	}
-	if got := len(g.apis); got != 2 {
+	if got := len(g.regionEdgeCount); got != 2 {
 		t.Fatalf("V_A has %d vertices, want 2", got)
 	}
 	if g.EdgeCount("A") != 8 || g.EdgeCount("B") != 4 {

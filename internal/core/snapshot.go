@@ -1,14 +1,11 @@
 package core
 
-// CounterState is a snapshot of the indegree counters. The slot history is
-// append-only (Advance moves the accumulator maps into the recorded Slot
-// and replaces them with fresh ones, so recorded slots are frozen); the
-// live accumulator maps are deep-copied.
+// CounterState is a snapshot of the indegree counters: deep copies of the
+// live accumulator maps.
 type CounterState struct {
 	pending         map[string]float64
 	slotArrivals    map[string]float64
 	slotCompletions map[string]float64
-	slots           []Slot
 }
 
 // Snapshot captures the counter's state.
@@ -17,7 +14,6 @@ func (c *Counter) Snapshot() *CounterState {
 		pending:         copyCounts(c.pending),
 		slotArrivals:    copyCounts(c.slotArrivals),
 		slotCompletions: copyCounts(c.slotCompletions),
-		slots:           c.slots,
 	}
 }
 
@@ -26,7 +22,6 @@ func (c *Counter) Restore(s *CounterState) {
 	restoreCounts(c.pending, s.pending)
 	restoreCounts(c.slotArrivals, s.slotArrivals)
 	restoreCounts(c.slotCompletions, s.slotCompletions)
-	c.slots = s.slots
 }
 
 func copyCounts(m map[string]float64) map[string]float64 {

@@ -69,13 +69,13 @@ func TestBuildEReportsUnknownNodes(t *testing.T) {
 	}
 }
 
-func TestRunEReturnsErrorNotPanic(t *testing.T) {
-	res, err := RunE(quick(Config{Seed: 1, Scheme: "Nonsense"}))
+func TestBuildEReturnsErrorNotPanic(t *testing.T) {
+	res, err := BuildE(quick(Config{Seed: 1, Scheme: "Nonsense"}))
 	if err == nil {
-		t.Fatal("RunE with an unknown scheme returned nil error")
+		t.Fatal("BuildE with an unknown scheme returned nil error")
 	}
 	if res != nil {
-		t.Fatal("RunE returned a partial Result alongside an error")
+		t.Fatal("BuildE returned a partial Result alongside an error")
 	}
 }
 
@@ -83,7 +83,7 @@ func TestRunEReturnsErrorNotPanic(t *testing.T) {
 // and Summary queries return the same computed object, and ResetStats
 // re-derives them.
 func TestResultStatsAreMemoized(t *testing.T) {
-	res := Run(quick(Config{Seed: 1}))
+	res := mustRun(quick(Config{Seed: 1}))
 	s1 := res.Responses("A")
 	s2 := res.Responses("A")
 	if s1 != s2 {
@@ -157,10 +157,7 @@ func TestExtensionSchemeRunsThroughEngine(t *testing.T) {
 			return schemes.Built{Scheme: schemes.NewBaseline(in.Ctx)}
 		},
 	})
-	res, err := RunE(quick(Config{Seed: 1, Scheme: "engine-test-ext"}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(quick(Config{Seed: 1, Scheme: "engine-test-ext"}))
 	if res.Executor.Completed() == 0 {
 		t.Fatal("extension scheme completed no requests")
 	}

@@ -30,7 +30,7 @@ func countEvents(t *testing.T, rec *obs.Recorder) map[string]int {
 // beyond those in the crash window, and the crashed services recover.
 func TestChaosContainerCrashUnderFridge(t *testing.T) {
 	rec := obs.NewRecorder(0)
-	res := Build(quick(Config{Seed: 6, Scheme: ServiceFridge, BudgetFraction: 0.8, Events: rec}))
+	res := mustBuild(quick(Config{Seed: 6, Scheme: ServiceFridge, BudgetFraction: 0.8, Events: rec}))
 	res.Orch.SetFailurePolicy(orchestrator.FailurePolicy{
 		AutoRestart:  true,
 		RestartDelay: 500 * time.Millisecond,
@@ -86,7 +86,7 @@ func TestChaosContainerCrashUnderFridge(t *testing.T) {
 // (old instance stopping, new one starting) and checks consistency.
 func TestChaosCrashDuringMigration(t *testing.T) {
 	rec := obs.NewRecorder(0)
-	res := Build(quick(Config{Seed: 7, Scheme: ServiceFridge, BudgetFraction: 0.8, Events: rec}))
+	res := mustBuild(quick(Config{Seed: 7, Scheme: ServiceFridge, BudgetFraction: 0.8, Events: rec}))
 	res.Orch.SetFailurePolicy(orchestrator.FailurePolicy{AutoRestart: true})
 	// The fridge migrates during the first few ticks; crash ticketinfo
 	// right in that window, repeatedly.

@@ -12,7 +12,7 @@ import (
 // summed response time equals dispatch time plus every service's blame.
 func TestCritPathBlameTelescopes(t *testing.T) {
 	cfg := quick(Config{Seed: 1, KeepSpans: true})
-	res := Run(cfg)
+	res := mustRun(cfg)
 	acc := res.CritPathBlame()
 	if len(acc.Regions()) == 0 {
 		t.Fatal("no regions observed")
@@ -51,7 +51,7 @@ func TestCritPathBlameTelescopes(t *testing.T) {
 // Exec stays the frequency-neutral base.
 func TestCritPathBlameFreqInflation(t *testing.T) {
 	run := func(f cluster.GHz) *Result {
-		return Run(quick(Config{
+		return mustRun(quick(Config{
 			Seed:      1,
 			KeepSpans: true,
 			FixedFreqs: map[string]cluster.GHz{
@@ -90,8 +90,8 @@ func TestCritPathBlameFreqInflation(t *testing.T) {
 // compares every accumulated quantity.
 func TestCritPathBlameDeterministic(t *testing.T) {
 	cfg := quick(Config{Seed: 7, KeepSpans: true})
-	a := Run(cfg).CritPathBlame()
-	b := Run(cfg).CritPathBlame()
+	a := mustRun(cfg).CritPathBlame()
+	b := mustRun(cfg).CritPathBlame()
 	for _, region := range a.Regions() {
 		ra, rbb := a.Region(region), b.Region(region)
 		if rbb == nil || ra.Requests != rbb.Requests || ra.Response != rbb.Response || ra.Dispatch != rbb.Dispatch {

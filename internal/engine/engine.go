@@ -117,9 +117,6 @@ type Config struct {
 	// TrackFreqOf records the host frequency of these services at every
 	// meter interval (Figure 13's frequency traces).
 	TrackFreqOf []string
-	// Tune, if set, adjusts the constructed Fridge before the run (e.g.
-	// Figure 14's LoadOverride); ignored for other schemes.
-	Tune func(*fridge.Fridge)
 	// StartupDelay overrides the orchestrator's container startup time
 	// when positive (migration-cost sensitivity studies).
 	StartupDelay time.Duration
@@ -351,17 +348,18 @@ func (r *Result) Summary(region string) metrics.Summary {
 
 // ResetStats drops the memoized latency statistics. Callers that query
 // results mid-run and then resume the simulation must call it before
-// querying again; runs driven by Run/RunE never need it.
+// querying again; runs driven by Finish never need it.
 func (r *Result) ResetStats() {
 	r.respCache = nil
 	r.sumCache = nil
 }
 
-// BuildE constructs a run without executing it, so callers can attach
-// extra instrumentation before starting the clock. It returns an error —
-// rather than panicking like Build — for invalid configurations: unknown
-// schemes, bad budget fractions, and PinTo/FixedFreqs entries naming
-// nodes that do not exist in the constructed testbed.
+// BuildE constructs a run without executing it, so callers can adjust it
+// (attach instrumentation, tune the controller, schedule faults) before
+// Finish starts the clock. It returns an error for invalid
+// configurations: unknown schemes, bad budget fractions, and
+// PinTo/FixedFreqs entries naming nodes that do not exist in the
+// constructed testbed.
 func BuildE(cfg Config) (*Result, error) {
 	cfg.fill()
 	if err := cfg.Validate(); err != nil {
@@ -457,9 +455,6 @@ func BuildE(cfg Config) (*Result, error) {
 	built := reg.New(schemes.BuildInput{Ctx: ctx, Spec: cfg.Spec})
 	scheme := built.Scheme
 	if f, ok := scheme.(*fridge.Fridge); ok {
-		if cfg.Tune != nil {
-			cfg.Tune(f)
-		}
 		f.SetProfiler(pr)
 		res.Fridge = f
 	}
@@ -596,48 +591,31 @@ func nodeNames(cl *cluster.Cluster) []string {
 	return out
 }
 
-// Build constructs a run without executing it, panicking on an invalid
-// configuration. Programmatic callers with untrusted configs (CLIs,
-// services) should prefer BuildE.
-func Build(cfg Config) *Result {
-	res, err := BuildE(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// finish executes a built run to completion and stops the generators.
-func finish(res *Result) {
-	res.Engine.RunUntil(res.Total())
-	res.Gen.Stop()
-	for _, pool := range res.Pools {
+// Finish executes a built (or restored) run to completion: the clock
+// advances to Total and the generators stop. BuildE, adjust, Finish is the
+// one way to run a simulation; Finish is also the replay step of a
+// warm-started fork (ForkEach).
+func (r *Result) Finish() {
+	r.Engine.RunUntil(r.Total())
+	r.Gen.Stop()
+	for _, pool := range r.Pools {
 		pool.Stop()
 	}
-	for _, ol := range res.OpenLoops {
+	for _, ol := range r.OpenLoops {
 		ol.SetRate(0)
 	}
 }
 
-// RunE builds and executes the experiment to completion, returning an
-// error instead of panicking on an invalid configuration.
-func RunE(cfg Config) (*Result, error) {
-	res, err := BuildE(cfg)
-	if err != nil {
-		return nil, err
+// BudgetViolations counts the meter's whole-cluster samples that exceeded
+// the budget cap, out of the total taken.
+func (r *Result) BudgetViolations() (over, total int) {
+	samples := r.Meter.ClusterSamples()
+	for _, cs := range samples {
+		if r.Budget.Violated(cs.Total) {
+			over++
+		}
 	}
-	finish(res)
-	return res, nil
-}
-
-// Run builds and executes the experiment to completion, panicking on an
-// invalid configuration.
-func Run(cfg Config) *Result {
-	res, err := RunE(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return res
+	return over, len(samples)
 }
 
 // SlowdownFromSpec adapts an application spec's per-service slowdown
@@ -680,18 +658,17 @@ func (r *Result) CritPathBlame() *trace.BlameAccumulator {
 // CalibrateMaxRequired measures the maximum required power of a workload:
 // it runs the configuration uncapped (Baseline at 100%) and returns the
 // peak cluster draw, the base the paper's §6 budget percentages refer to.
+// It panics on a configuration BuildE rejects.
 func CalibrateMaxRequired(cfg Config) power.Watts {
 	cfg.Scheme = Baseline
 	cfg.BudgetFraction = 1.0
 	cfg.MaxRequired = 0
-	res := Run(cfg)
-	var peak power.Watts
-	for _, cs := range res.Meter.ClusterSamples() {
-		if cs.Total > peak {
-			peak = cs.Total
-		}
+	res, err := BuildE(cfg)
+	if err != nil {
+		panic(err)
 	}
-	return peak
+	res.Finish()
+	return res.Meter.PeakTotal()
 }
 
 func phaseLength(phases []workload.Phase) time.Duration {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"servicefridge/internal/cluster"
-	"servicefridge/internal/fridge"
 	"servicefridge/internal/power"
 	"servicefridge/internal/workload"
 )
@@ -19,8 +18,24 @@ func quick(cfg Config) Config {
 	return cfg
 }
 
+// mustBuild is BuildE for configs the test knows are valid.
+func mustBuild(cfg Config) *Result {
+	res, err := BuildE(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// mustRun builds cfg and runs it to completion.
+func mustRun(cfg Config) *Result {
+	res := mustBuild(cfg)
+	res.Finish()
+	return res
+}
+
 func TestRunBaselineCompletesRequests(t *testing.T) {
-	res := Run(quick(Config{Seed: 1}))
+	res := mustRun(quick(Config{Seed: 1}))
 	if res.Executor.Completed() == 0 {
 		t.Fatal("no requests completed")
 	}
@@ -39,8 +54,8 @@ func TestRunBaselineCompletesRequests(t *testing.T) {
 }
 
 func TestRunIsDeterministic(t *testing.T) {
-	a := Run(quick(Config{Seed: 9, Scheme: ServiceFridge, BudgetFraction: 0.8}))
-	b := Run(quick(Config{Seed: 9, Scheme: ServiceFridge, BudgetFraction: 0.8}))
+	a := mustRun(quick(Config{Seed: 9, Scheme: ServiceFridge, BudgetFraction: 0.8}))
+	b := mustRun(quick(Config{Seed: 9, Scheme: ServiceFridge, BudgetFraction: 0.8}))
 	if a.Executor.Completed() != b.Executor.Completed() {
 		t.Fatalf("completions differ: %d vs %d", a.Executor.Completed(), b.Executor.Completed())
 	}
@@ -53,8 +68,8 @@ func TestRunIsDeterministic(t *testing.T) {
 }
 
 func TestSeedChangesResults(t *testing.T) {
-	a := Run(quick(Config{Seed: 1}))
-	b := Run(quick(Config{Seed: 2}))
+	a := mustRun(quick(Config{Seed: 1}))
+	b := mustRun(quick(Config{Seed: 2}))
 	if a.Summary("A").Mean == b.Summary("A").Mean && a.Summary("B").Mean == b.Summary("B").Mean {
 		t.Fatal("different seeds produced identical latencies")
 	}
@@ -62,7 +77,7 @@ func TestSeedChangesResults(t *testing.T) {
 
 func TestEverySchemeRuns(t *testing.T) {
 	for _, scheme := range []SchemeName{Baseline, Capping, PFirst, TFirst, ServiceFridge} {
-		res := Run(quick(Config{Seed: 3, Scheme: scheme, BudgetFraction: 0.8}))
+		res := mustRun(quick(Config{Seed: 3, Scheme: scheme, BudgetFraction: 0.8}))
 		if res.Executor.Completed() == 0 {
 			t.Fatalf("%s completed nothing", scheme)
 		}
@@ -72,22 +87,13 @@ func TestEverySchemeRuns(t *testing.T) {
 	}
 }
 
-func TestUnknownSchemePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Run(quick(Config{Seed: 1, Scheme: "Nonsense"}))
-}
-
 func TestBudgetThrottlesThroughput(t *testing.T) {
 	maxReq := CalibrateMaxRequired(quick(Config{Seed: 4}))
 	if maxReq <= 0 {
 		t.Fatal("calibration returned nothing")
 	}
-	free := Run(quick(Config{Seed: 4, Scheme: Capping, BudgetFraction: 1.0, MaxRequired: maxReq}))
-	tight := Run(quick(Config{Seed: 4, Scheme: Capping, BudgetFraction: 0.75, MaxRequired: maxReq}))
+	free := mustRun(quick(Config{Seed: 4, Scheme: Capping, BudgetFraction: 1.0, MaxRequired: maxReq}))
+	tight := mustRun(quick(Config{Seed: 4, Scheme: Capping, BudgetFraction: 0.75, MaxRequired: maxReq}))
 	if tight.Meter.MeanDynamic() >= free.Meter.MeanDynamic() {
 		t.Fatalf("75%% budget should reduce dynamic power: %v vs %v",
 			tight.Meter.MeanDynamic(), free.Meter.MeanDynamic())
@@ -98,7 +104,7 @@ func TestBudgetThrottlesThroughput(t *testing.T) {
 }
 
 func TestMaxRequiredSetsBudgetBase(t *testing.T) {
-	res := Build(Config{Seed: 1, MaxRequired: power.Watts(400), BudgetFraction: 0.8})
+	res := mustBuild(Config{Seed: 1, MaxRequired: power.Watts(400), BudgetFraction: 0.8})
 	if res.Budget.MaxPower() != 400 {
 		t.Fatalf("budget base = %v, want 400", res.Budget.MaxPower())
 	}
@@ -108,7 +114,7 @@ func TestMaxRequiredSetsBudgetBase(t *testing.T) {
 }
 
 func TestPinToExcludesNodeFromRoundRobin(t *testing.T) {
-	res := Build(Config{Seed: 1, PinTo: map[string]string{"seat": "serverB"}})
+	res := mustBuild(Config{Seed: 1, PinTo: map[string]string{"seat": "serverB"}})
 	nodes := res.Orch.NodesOf("seat")
 	if len(nodes) != 1 || nodes[0].Name() != "serverB" {
 		t.Fatalf("seat on %v, want serverB", nodes)
@@ -119,7 +125,7 @@ func TestPinToExcludesNodeFromRoundRobin(t *testing.T) {
 }
 
 func TestFixedFreqsApplied(t *testing.T) {
-	res := Run(quick(Config{Seed: 1, FixedFreqs: map[string]cluster.GHz{"serverB": 1.8}}))
+	res := mustRun(quick(Config{Seed: 1, FixedFreqs: map[string]cluster.GHz{"serverB": 1.8}}))
 	if got := res.Cluster.Server("serverB").Freq(); got != 1.8 {
 		t.Fatalf("serverB at %v, want 1.8 (fixed frequency must survive the run)", got)
 	}
@@ -131,11 +137,11 @@ func TestFixedFreqsUnknownNodePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Build(Config{Seed: 1, FixedFreqs: map[string]cluster.GHz{"ghost": 1.8}})
+	CalibrateMaxRequired(Config{Seed: 1, FixedFreqs: map[string]cluster.GHz{"ghost": 1.8}})
 }
 
 func TestPhasesDriveWorkers(t *testing.T) {
-	res := Build(Config{
+	res := mustBuild(Config{
 		Seed: 1,
 		Mix:  workload.Ratio(1, 1),
 		Phases: []workload.Phase{
@@ -159,7 +165,7 @@ func TestPhasesDriveWorkers(t *testing.T) {
 }
 
 func TestTrackFreqOfRecordsSeries(t *testing.T) {
-	res := Run(quick(Config{
+	res := mustRun(quick(Config{
 		Seed: 1, Scheme: ServiceFridge, BudgetFraction: 0.8,
 		TrackFreqOf: []string{"ticketinfo", "config"},
 	}))
@@ -168,22 +174,8 @@ func TestTrackFreqOfRecordsSeries(t *testing.T) {
 	}
 }
 
-func TestTuneReachesFridge(t *testing.T) {
-	touched := false
-	Run(quick(Config{
-		Seed: 1, Scheme: ServiceFridge,
-		Tune: func(f *fridge.Fridge) {
-			touched = true
-			f.LoadOverride = map[string]float64{"B": 30}
-		},
-	}))
-	if !touched {
-		t.Fatal("Tune hook not invoked")
-	}
-}
-
 func TestPerRegionPoolsLaunchBothRegions(t *testing.T) {
-	res := Run(quick(Config{Seed: 1, PoolWorkers: map[string]int{"A": 3, "B": 7}}))
+	res := mustRun(quick(Config{Seed: 1, PoolWorkers: map[string]int{"A": 3, "B": 7}}))
 	if res.Pools["A"].Launched() == 0 || res.Pools["B"].Launched() == 0 {
 		t.Fatal("pools did not launch")
 	}
@@ -195,7 +187,7 @@ func TestPerRegionPoolsLaunchBothRegions(t *testing.T) {
 
 func TestFridgeStaysNearBudgetOnAverage(t *testing.T) {
 	maxReq := CalibrateMaxRequired(quick(Config{Seed: 5}))
-	res := Run(quick(Config{Seed: 5, Scheme: ServiceFridge, BudgetFraction: 0.8, MaxRequired: maxReq}))
+	res := mustRun(quick(Config{Seed: 5, Scheme: ServiceFridge, BudgetFraction: 0.8, MaxRequired: maxReq}))
 	cap := res.Budget.Cap()
 	var mean power.Watts
 	for _, cs := range res.Meter.ClusterSamples() {

@@ -10,7 +10,7 @@ import (
 func instrumentedRun(t *testing.T, seed uint64) (*Result, *obs.Recorder) {
 	t.Helper()
 	rec := obs.NewRecorder(0)
-	res := Run(quick(Config{Seed: seed, Scheme: ServiceFridge, BudgetFraction: 0.8, Events: rec}))
+	res := mustRun(quick(Config{Seed: seed, Scheme: ServiceFridge, BudgetFraction: 0.8, Events: rec}))
 	return res, rec
 }
 
@@ -66,7 +66,7 @@ func TestEventStreamShape(t *testing.T) {
 // a plain one: recording is passive, so every observable outcome must
 // match exactly.
 func TestInstrumentationDoesNotPerturbRun(t *testing.T) {
-	plain := Run(quick(Config{Seed: 3, Scheme: ServiceFridge, BudgetFraction: 0.8}))
+	plain := mustRun(quick(Config{Seed: 3, Scheme: ServiceFridge, BudgetFraction: 0.8}))
 	inst, _ := instrumentedRun(t, 3)
 	if plain.Executor.Completed() != inst.Executor.Completed() {
 		t.Fatalf("completed %d vs %d", plain.Executor.Completed(), inst.Executor.Completed())

@@ -12,10 +12,10 @@ import (
 // perturbed branch to completion, and rewinding to the paused position
 // must leave the resumed run byte-identical to one that never forked.
 func TestForkDetourInvisible(t *testing.T) {
-	cold := Run(instrumentedConfig("ServiceFridge"))
+	cold := mustRun(instrumentedConfig("ServiceFridge"))
 	want := fingerprint(t, cold)
 
-	live := Build(instrumentedConfig("ServiceFridge"))
+	live := mustBuild(instrumentedConfig("ServiceFridge"))
 	base := live.Snapshot() // t=0 base for forks and the resume replay
 	live.Engine.RunUntil(sim.Time(3 * time.Second))
 	paused := live.Engine.Now()
@@ -68,10 +68,10 @@ func TestForkDetourInvisible(t *testing.T) {
 // unperturbed detour writes back the exact bytes it overwrites, so the
 // bookmark pattern is sound — once series object identity survives.
 func TestUnperturbedBookmarkResume(t *testing.T) {
-	cold := Run(instrumentedConfig("ServiceFridge"))
+	cold := mustRun(instrumentedConfig("ServiceFridge"))
 	want := fingerprint(t, cold)
 
-	live := Build(instrumentedConfig("ServiceFridge"))
+	live := mustBuild(instrumentedConfig("ServiceFridge"))
 	base := live.Snapshot()
 	live.Engine.RunUntil(sim.Time(3 * time.Second))
 	cur := live.Snapshot()
@@ -91,7 +91,7 @@ func TestUnperturbedBookmarkResume(t *testing.T) {
 }
 
 func TestForkAtBounds(t *testing.T) {
-	live := Build(instrumentedConfig("Capping"))
+	live := mustBuild(instrumentedConfig("Capping"))
 	base := live.Snapshot()
 	live.Engine.RunUntil(sim.Time(2 * time.Second))
 	mid := live.Snapshot()
@@ -108,7 +108,7 @@ func TestForkAtBounds(t *testing.T) {
 
 func TestTotalUsesPhasesWhenLonger(t *testing.T) {
 	cfg := instrumentedConfig("Baseline")
-	res := Build(cfg)
+	res := mustBuild(cfg)
 	if got, want := res.Total(), sim.Time(6*time.Second); got != want {
 		t.Fatalf("Total() = %v, want %v", got, want)
 	}
@@ -117,7 +117,7 @@ func TestTotalUsesPhasesWhenLonger(t *testing.T) {
 func TestScaleWorkersFloor(t *testing.T) {
 	cfg := instrumentedConfig("Baseline")
 	cfg.Workers = 4
-	res := Build(cfg)
+	res := mustBuild(cfg)
 	res.ScaleWorkers(0.01) // rounds to 0 but the pool was non-empty
 	if got := res.Gen.Workers(); got != 1 {
 		t.Fatalf("ScaleWorkers(0.01) left %d workers, want floor of 1", got)

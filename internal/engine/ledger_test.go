@@ -35,7 +35,7 @@ func TestLedgerInstrumentationInvariant(t *testing.T) {
 
 	bare := base()
 	bare.Ledger = obs.NewLedger()
-	Run(bare)
+	mustRun(bare)
 	want := ledgerBytes(t, bare.Ledger)
 	if want == "" {
 		t.Fatal("ledger sealed nothing")
@@ -44,7 +44,7 @@ func TestLedgerInstrumentationInvariant(t *testing.T) {
 	withEvents := base()
 	withEvents.Ledger = obs.NewLedger()
 	withEvents.Events = obs.NewRecorder(0)
-	Run(withEvents)
+	mustRun(withEvents)
 	if got := ledgerBytes(t, withEvents.Ledger); got != want {
 		t.Fatal("explicit events recorder changed the ledger")
 	}
@@ -53,7 +53,7 @@ func TestLedgerInstrumentationInvariant(t *testing.T) {
 	withTelemetry.Ledger = obs.NewLedger()
 	withTelemetry.Events = obs.NewRecorder(0)
 	withTelemetry.Telemetry = telemetry.New(telemetry.Options{})
-	Run(withTelemetry)
+	mustRun(withTelemetry)
 	if got := ledgerBytes(t, withTelemetry.Ledger); got != want {
 		t.Fatal("bound telemetry changed the ledger")
 	}
@@ -70,10 +70,10 @@ func TestLedgerDoesNotPerturbRun(t *testing.T) {
 			Events: obs.NewRecorder(0),
 		}
 	}
-	plain := Run(cfg())
+	plain := mustRun(cfg())
 	ledgered := cfg()
 	ledgered.Ledger = obs.NewLedger()
-	inst := Run(ledgered)
+	inst := mustRun(ledgered)
 
 	// Drop the ledger from the instrumented result so fingerprint compares
 	// the outputs both runs share (the plain run has no ledger section).
@@ -96,7 +96,7 @@ func TestLedgerSeedSensitivity(t *testing.T) {
 			Warmup:      2 * time.Second, Duration: 4 * time.Second,
 			Ledger: obs.NewLedger(),
 		}
-		Run(cfg)
+		mustRun(cfg)
 		return ledgerBytes(t, cfg.Ledger)
 	}
 	if run(1) == run(2) {

@@ -36,10 +36,7 @@ func TestPhaseProfilingIsPassive(t *testing.T) {
 			Ledger:         obs.NewLedger(),
 			ProfLabel:      "passivity",
 		}
-		res, err := RunE(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRun(cfg)
 		var ev, led bytes.Buffer
 		if err := cfg.Events.WriteJSONL(&ev); err != nil {
 			t.Fatal(err)

@@ -51,14 +51,14 @@ func TestProfileSnapshotRestoreByteIdentical(t *testing.T) {
 	for _, shape := range workload.Names() {
 		shape := shape
 		t.Run(shape, func(t *testing.T) {
-			cold := Run(profileConfig(t, shape, false))
+			cold := mustRun(profileConfig(t, shape, false))
 			want := fingerprint(t, cold)
 
 			// Snapshot twice mid-profile (one cut before, one after the
 			// warmup boundary), then restore in interleaved order: finish
 			// from the later cut, rewind to the earlier, finish again,
 			// rewind to the later once more.
-			warm := Build(profileConfig(t, shape, false))
+			warm := mustBuild(profileConfig(t, shape, false))
 			warm.Engine.RunUntil(sim.Time(1300 * time.Millisecond))
 			early := warm.Snapshot()
 			warm.Engine.RunUntil(sim.Time(3700 * time.Millisecond))
@@ -91,9 +91,9 @@ func TestProfileSnapshotRestoreByteIdentical(t *testing.T) {
 // TestProfileClosedSnapshotRestore covers the closed-loop driver path
 // (setpoints move worker pools instead of arrival rates).
 func TestProfileClosedSnapshotRestore(t *testing.T) {
-	cold := Run(profileConfig(t, "diurnal", true))
+	cold := mustRun(profileConfig(t, "diurnal", true))
 	want := fingerprint(t, cold)
-	warm := Build(profileConfig(t, "diurnal", true))
+	warm := mustBuild(profileConfig(t, "diurnal", true))
 	warm.Engine.RunUntil(sim.Time(2500 * time.Millisecond))
 	snap := warm.Snapshot()
 	warm.Finish()
@@ -115,7 +115,7 @@ func TestProfileWarmSweepByteIdentical(t *testing.T) {
 	for _, shape := range workload.Names() {
 		shape := shape
 		t.Run(shape, func(t *testing.T) {
-			donor := Build(profileConfig(t, shape, false))
+			donor := mustBuild(profileConfig(t, shape, false))
 			donor.Engine.RunUntil(donor.WarmBarrier())
 			snap := donor.Snapshot()
 			for _, frac := range fractions {
@@ -126,7 +126,7 @@ func TestProfileWarmSweepByteIdentical(t *testing.T) {
 
 				cfg := profileConfig(t, shape, false)
 				cfg.BudgetFraction = frac
-				if got := fingerprint(t, Run(cfg)); got != warm {
+				if got := fingerprint(t, mustRun(cfg)); got != warm {
 					t.Fatalf("budget %v: warm fork diverged from cold run", frac)
 				}
 			}
@@ -139,7 +139,7 @@ func TestProfileWarmSweepByteIdentical(t *testing.T) {
 // trace codec execute the identical event sequence.
 func TestProfileTraceReplayByteIdentical(t *testing.T) {
 	cfg := profileConfig(t, "diurnal", false)
-	want := fingerprint(t, Run(cfg))
+	want := fingerprint(t, mustRun(cfg))
 
 	var buf strings.Builder
 	if err := workload.WriteTrace(&buf, cfg.Profile); err != nil {
@@ -151,7 +151,7 @@ func TestProfileTraceReplayByteIdentical(t *testing.T) {
 	}
 	cfg2 := profileConfig(t, "diurnal", false)
 	cfg2.Profile = replayed
-	if got := fingerprint(t, Run(cfg2)); got != want {
+	if got := fingerprint(t, mustRun(cfg2)); got != want {
 		t.Fatal("trace replay diverged from the generating run")
 	}
 }
@@ -160,7 +160,7 @@ func TestProfileTraceReplayByteIdentical(t *testing.T) {
 // surface: both must error without a driver, both must take effect, and a
 // restore after the perturbation must rewind it.
 func TestScaleTrafficAndSwapProfile(t *testing.T) {
-	plain := Build(Config{Seed: 1, Workers: 4, Warmup: time.Second, Duration: time.Second})
+	plain := mustBuild(Config{Seed: 1, Workers: 4, Warmup: time.Second, Duration: time.Second})
 	if err := plain.ScaleTraffic(2); err == nil {
 		t.Error("ScaleTraffic succeeded without a profile-driven run")
 	}
@@ -169,7 +169,7 @@ func TestScaleTrafficAndSwapProfile(t *testing.T) {
 	}
 
 	cfg := profileConfig(t, "steady", false)
-	res := Build(cfg)
+	res := mustBuild(cfg)
 	res.Engine.RunUntil(sim.Time(3 * time.Second))
 	snap := res.Snapshot()
 	if err := res.ScaleTraffic(0); err == nil {

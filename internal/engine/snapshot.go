@@ -165,8 +165,23 @@ func (r *Result) WarmBarrier() sim.Time {
 	return sim.Time(barrier) - 1
 }
 
-// Finish executes a built (or restored) run to completion: the clock
-// advances to Warmup+Duration (or the phase schedule's end, if longer) and
-// the generators stop. It is the second half of Build+Finish == Run, and
-// the replay step of a warm-started fork.
-func (r *Result) Finish() { finish(r) }
+// ForkEach runs one warm-started fork of donor per cell: it advances the
+// built, unstarted donor to its WarmBarrier and snapshots it there, then
+// for each cell restores, applies prep (retarget the budget, tune the
+// controller), Finishes, and collects. Cells run sequentially because they
+// share the donor's object graph. prep may only change state first read
+// after the barrier (the budget, the controller's LoadOverride); then each
+// fork matches, byte for byte, a cold run given the same prep between
+// BuildE and Finish.
+func ForkEach[C, R any](donor *Result, cells []C, prep func(*Result, C), collect func(*Result, C) R) []R {
+	donor.Engine.RunUntil(donor.WarmBarrier())
+	snap := donor.Snapshot()
+	out := make([]R, len(cells))
+	for i, c := range cells {
+		donor.Restore(snap)
+		prep(donor, c)
+		donor.Finish()
+		out[i] = collect(donor, c)
+	}
+	return out
+}

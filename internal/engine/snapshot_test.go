@@ -95,10 +95,10 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 		name := name
 		cut := time.Duration(rng.Int63n(int64(6 * time.Second)))
 		t.Run(name, func(t *testing.T) {
-			cold := Run(instrumentedConfig(name))
+			cold := mustRun(instrumentedConfig(name))
 			want := fingerprint(t, cold)
 
-			warm := Build(instrumentedConfig(name))
+			warm := mustBuild(instrumentedConfig(name))
 			warm.Engine.RunUntil(sim.Time(cut))
 			snap := warm.Snapshot()
 			if snap.Now() != warm.Engine.Now() {
@@ -140,7 +140,7 @@ func TestSnapshotWarmBudgetSweep(t *testing.T) {
 		return cfg
 	}
 
-	donor := Build(base(fractions[0]))
+	donor := mustBuild(base(fractions[0]))
 	barrier := donor.WarmBarrier()
 	if barrier <= 0 || barrier >= sim.Time(time.Second) {
 		t.Fatalf("warm barrier %v outside (0, ControlInterval)", barrier)
@@ -149,7 +149,7 @@ func TestSnapshotWarmBudgetSweep(t *testing.T) {
 	snap := donor.Snapshot()
 
 	for _, frac := range fractions {
-		cold := Run(base(frac))
+		cold := mustRun(base(frac))
 		want := fingerprint(t, cold)
 
 		donor.Restore(snap)
@@ -161,10 +161,32 @@ func TestSnapshotWarmBudgetSweep(t *testing.T) {
 	}
 }
 
+// TestForkEachMatchesColdPrep pins the property that lets a caller tune a
+// run between BuildE and Finish: a non-budget prep (the controller's
+// LoadOverride) applied to each ForkEach fork gives the same run as the
+// same prep applied to a separate cold BuildE → prep → Finish.
+func TestForkEachMatchesColdPrep(t *testing.T) {
+	overrides := []map[string]float64{nil, {"B": 30}, {"A": 30}}
+	prep := func(res *Result, o map[string]float64) { res.Fridge.LoadOverride = o }
+	got := ForkEach(mustBuild(instrumentedConfig("ServiceFridge")), overrides, prep,
+		func(res *Result, _ map[string]float64) string { return fingerprint(t, res) })
+	for i, o := range overrides {
+		cold := mustBuild(instrumentedConfig("ServiceFridge"))
+		prep(cold, o)
+		cold.Finish()
+		if want := fingerprint(t, cold); got[i] != want {
+			t.Fatalf("fork with LoadOverride %v diverged from its cold run", o)
+		}
+	}
+	if got[0] == got[1] {
+		t.Fatal("LoadOverride left the run unchanged; the test cannot tell forks apart")
+	}
+}
+
 // TestSetBudgetFraction pins the shared-budget plumbing: retargeting the
 // result's budget must be visible to the scheme context and the config.
 func TestSetBudgetFraction(t *testing.T) {
-	res := Build(Config{Scheme: Capping, BudgetFraction: 1.0})
+	res := mustBuild(Config{Scheme: Capping, BudgetFraction: 1.0})
 	capBefore := res.Budget.Cap()
 	res.SetBudgetFraction(0.5)
 	if res.Budget.Fraction != 0.5 || res.Config.BudgetFraction != 0.5 {

@@ -55,7 +55,7 @@ func telemetryRun(t *testing.T, seed uint64, scrape bool) (*Result, *obs.Recorde
 		defer wg.Wait()
 		defer close(stop)
 	}
-	finish(res)
+	res.Finish()
 	return res, rec, tel
 }
 
@@ -65,7 +65,7 @@ func telemetryRun(t *testing.T, seed uint64, scrape bool) (*Result, *obs.Recorde
 // and identical results to the same seed without telemetry.
 func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 	plainRec := obs.NewRecorder(0)
-	plain := Run(quick(Config{Seed: 3, Scheme: ServiceFridge, BudgetFraction: 0.8, Events: plainRec}))
+	plain := mustRun(quick(Config{Seed: 3, Scheme: ServiceFridge, BudgetFraction: 0.8, Events: plainRec}))
 	inst, instRec, tel := telemetryRun(t, 3, true)
 
 	if plain.Executor.Completed() != inst.Executor.Completed() {
@@ -165,7 +165,7 @@ func TestTelemetrySLOTripsUnderTightBudget(t *testing.T) {
 			Target: 35 * time.Millisecond, Grace: 2 * time.Second,
 		},
 	})
-	Run(quick(Config{
+	mustRun(quick(Config{
 		Seed: 1, Scheme: Capping, BudgetFraction: 0.7,
 		Events: rec, Telemetry: tel,
 	}))

@@ -29,7 +29,7 @@ func compareConfig(label string, seed uint64, scheme engine.SchemeName, budget f
 
 // compareRun executes one scheme/budget cell of the §6.4 comparison.
 func compareRun(label string, seed uint64, scheme engine.SchemeName, budget float64, keepSpans bool) *engine.Result {
-	return engine.Run(compareConfig(label, seed, scheme, budget, keepSpans))
+	return run(compareConfig(label, seed, scheme, budget, keepSpans))
 }
 
 // Figure15 reproduces the headline comparison: mean and tail response
@@ -49,39 +49,14 @@ func Figure15(seed uint64) []*metrics.Table {
 			cells = append(cells, cell{scheme, b})
 		}
 	}
-	regionSummaries := func(res *engine.Result) map[string]metrics.Summary {
-		return map[string]metrics.Summary{
-			"A": res.Summary("A"),
-			"B": res.Summary("B"),
-		}
-	}
-	var summaries []map[string]metrics.Summary
-	if WarmStart() {
-		// One donor per scheme; the budget cells fork off its snapshot.
-		type group struct {
-			scheme  engine.SchemeName
-			budgets []float64
-		}
-		groups := []group{{engine.Baseline, []float64{1.0}}}
-		for _, scheme := range engine.AllSchemes() {
-			groups = append(groups, group{scheme, fig15Budgets})
-		}
-		perGroup := parMap(groups, func(g group) []map[string]metrics.Summary {
-			donor := engine.Build(compareConfig("fig15", seed, g.scheme, g.budgets[0], false))
-			return forkEach(donor, g.budgets,
-				func(res *engine.Result, b float64) { res.SetBudgetFraction(b) },
-				func(res *engine.Result, _ float64) map[string]metrics.Summary {
-					return regionSummaries(res)
-				})
+	// Warm, one donor per scheme; the budget cells fork off its snapshot.
+	summaries := sweep(cells,
+		func(c cell) engine.SchemeName { return c.scheme },
+		func(c cell) engine.Config { return compareConfig("fig15", seed, c.scheme, c.budget, false) },
+		func(res *engine.Result, c cell) { res.SetBudgetFraction(c.budget) },
+		func(res *engine.Result, _ cell) map[string]metrics.Summary {
+			return map[string]metrics.Summary{"A": res.Summary("A"), "B": res.Summary("B")}
 		})
-		for _, gs := range perGroup {
-			summaries = append(summaries, gs...)
-		}
-	} else {
-		summaries = parMap(cells, func(c cell) map[string]metrics.Summary {
-			return regionSummaries(compareRun("fig15", seed, c.scheme, c.budget, false))
-		})
-	}
 	base := summaries[0]
 
 	var tables []*metrics.Table

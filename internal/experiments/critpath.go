@@ -37,7 +37,7 @@ const (
 // pinned at f (the Figure 5/6 isolation methodology), spans kept for the
 // offline analysis.
 func critPathCell(seed uint64, a, b, f float64) *engine.Result {
-	return engine.Run(engine.Config{
+	return run(engine.Config{
 		Seed:        seed,
 		Scheme:      engine.Baseline,
 		PoolWorkers: mixPools(a, b),
@@ -169,7 +169,7 @@ func yesNo(b bool) string {
 // seed, same bytes — regardless of the executor's -parallel width; the CI
 // determinism gate diffs exactly that.
 func ExportTracesJSON(seed uint64, sampleEvery int, w io.Writer) error {
-	res := engine.Run(engine.Config{
+	res := run(engine.Config{
 		Seed:           seed,
 		Scheme:         engine.ServiceFridge,
 		BudgetFraction: 0.8,

@@ -35,7 +35,7 @@ func eventRun(seed uint64) (*engine.Result, *obs.Recorder) {
 // both layers are passive, so every combination exports identical bytes.
 func canonicalRun(seed uint64, tel *telemetry.Telemetry, led *obs.Ledger) (*engine.Result, *obs.Recorder) {
 	rec := obs.NewRecorder(0)
-	res := engine.Build(engine.Config{
+	res := build(engine.Config{
 		Seed:           seed,
 		Scheme:         engine.ServiceFridge,
 		BudgetFraction: 0.8,
@@ -63,11 +63,7 @@ func canonicalRun(seed uint64, tel *telemetry.Telemetry, led *obs.Ledger) (*engi
 			break
 		}
 	})
-	res.Engine.RunFor(60 * time.Second)
-	res.Gen.Stop()
-	for _, p := range res.Pools {
-		p.Stop()
-	}
+	res.Finish()
 	return res, rec
 }
 

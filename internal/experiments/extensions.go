@@ -53,30 +53,19 @@ func ExtScaleOut(seed uint64) []*metrics.Table {
 		// workers/4 replicas, so single containers do not bottleneck the
 		// larger clusters.
 		runScaled := func(cfg engine.Config) *engine.Result {
-			res := engine.Build(cfg)
+			res := build(cfg)
 			if replicas > 1 {
 				for _, svc := range cfg.Spec.FunctionServices() {
 					res.Orch.Scale(svc, replicas, res.Cluster.Workers())
 				}
 			}
-			total := cfg.Warmup + cfg.Duration
-			res.Engine.RunFor(total)
-			res.Gen.Stop()
-			for _, p := range res.Pools {
-				p.Stop()
-			}
+			res.Finish()
 			return res
 		}
 		calCfg := base
 		calCfg.Spec = app.TwoRegionStudy()
-		maxReqRes := runScaled(calCfg)
-		var maxReq power.Watts
-		for _, cs := range maxReqRes.Meter.ClusterSamples() {
-			if cs.Total > maxReq {
-				maxReq = cs.Total
-			}
-		}
-		run := func(s engine.SchemeName) metrics.Summary {
+		maxReq := runScaled(calCfg).Meter.PeakTotal()
+		regionA := func(s engine.SchemeName) metrics.Summary {
 			cfg := base
 			cfg.Spec = app.TwoRegionStudy()
 			cfg.Scheme = s
@@ -84,8 +73,8 @@ func ExtScaleOut(seed uint64) []*metrics.Table {
 			cfg.MaxRequired = maxReq
 			return runScaled(cfg).Summary("A")
 		}
-		capping := run(engine.Capping)
-		fridge := run(engine.ServiceFridge)
+		capping := regionA(engine.Capping)
+		fridge := regionA(engine.ServiceFridge)
 		adv := 1 - float64(fridge.Mean)/float64(capping.Mean)
 		return []any{workers, (workers + 1) * 6,
 			capping.Mean, capping.P90, fridge.Mean, fridge.P90, pct(adv)}
@@ -100,33 +89,28 @@ func ExtScaleOut(seed uint64) []*metrics.Table {
 // regardless of completions, so a scheme that starves the critical path
 // accumulates queue, unlike in the self-limiting closed-loop runs.
 func ExtOpenLoop(seed uint64) []*metrics.Table {
-	// Calibrate: measure baseline closed-loop throughput, then offer 60%
+	// Calibrate: measure baseline closed-loop throughput, then offer 80%
 	// of it open-loop so the uncapped system is stable but capping below
 	// requirement visibly bites.
-	base := engine.Config{
+	rates, maxReq := openLoopCalibration(engine.Config{
 		Seed:        seed,
 		PoolWorkers: studyPools(),
 		Warmup:      5 * time.Second,
 		Duration:    15 * time.Second,
 		ProfLabel:   "ext-openloop",
-	}
-	cal := engine.Run(base)
-	window := cal.Engine.Now().Sub(cal.WarmupEnd).Seconds()
-	rateA := 0.8 * float64(cal.Summary("A").Count) / window
-	rateB := 0.8 * float64(cal.Summary("B").Count) / window
-	maxReq := engine.CalibrateMaxRequired(base)
+	}, 0.8)
 
 	tb := metrics.NewTable(
-		fmt.Sprintf("Extension: open-loop (A %.1f req/s, B %.1f req/s) at 80%% budget", rateA, rateB),
+		fmt.Sprintf("Extension: open-loop (A %.1f req/s, B %.1f req/s) at 80%% budget", rates["A"], rates["B"]),
 		"scheme", "A mean", "A p99", "B mean", "B p99", "mean dyn power")
 	schemes := []engine.SchemeName{engine.Baseline, engine.Capping, engine.ServiceFridge}
 	results := parMap(schemes, func(scheme engine.SchemeName) *engine.Result {
-		return engine.Run(engine.Config{
+		return run(engine.Config{
 			Seed:           seed,
 			Scheme:         scheme,
 			BudgetFraction: 0.8,
 			MaxRequired:    maxReq,
-			OpenLoopRate:   map[string]float64{"A": rateA, "B": rateB},
+			OpenLoopRate:   rates,
 			Warmup:         5 * time.Second,
 			Duration:       20 * time.Second,
 			ProfLabel:      "ext-openloop",
@@ -139,4 +123,19 @@ func ExtOpenLoop(seed uint64) []*metrics.Table {
 			fmt.Sprintf("%.1fW", float64(res.Meter.MeanDynamic())))
 	}
 	return []*metrics.Table{tb}
+}
+
+// openLoopCalibration runs base — an uncapped Baseline config, Scheme and
+// BudgetFraction left unset — once, and returns per-region open-loop rates
+// at frac of its post-warmup closed-loop throughput together with its peak
+// cluster draw, the maximum required power CalibrateMaxRequired would
+// measure from the same config.
+func openLoopCalibration(base engine.Config, frac float64) (map[string]float64, power.Watts) {
+	cal := run(base)
+	window := cal.Engine.Now().Sub(cal.WarmupEnd).Seconds()
+	rates := map[string]float64{}
+	for _, r := range cal.Config.Spec.RegionNames() {
+		rates[r] = frac * float64(cal.Summary(r).Count) / window
+	}
+	return rates, cal.Meter.PeakTotal()
 }

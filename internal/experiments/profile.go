@@ -27,7 +27,7 @@ func runProfile(seed uint64, spec *app.Spec, region string, n int, freqB cluster
 		cfg.PinTo = map[string]string{observed: "serverB"}
 		cfg.FixedFreqs = map[string]cluster.GHz{"serverB": freqB}
 	}
-	res := engine.Build(cfg)
+	res := build(cfg)
 	count := 0
 	var launch func(*trace.Trace)
 	launch = func(*trace.Trace) {
@@ -171,7 +171,7 @@ func Figure6(seed uint64) []*metrics.Table {
 			cfg.PinTo = map[string]string{c.observed: "serverB"}
 			cfg.FixedFreqs = map[string]cluster.GHz{"serverB": c.freq}
 		}
-		return engine.Run(cfg).Summary("A")
+		return run(cfg).Summary("A")
 	})
 
 	var tables []*metrics.Table

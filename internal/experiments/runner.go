@@ -1,7 +1,7 @@
 package experiments
 
-// The parallel experiment executor. Every engine.Run owns a private
-// sim.Engine and is a pure function of its Config, so independent runs are
+// The parallel experiment executor. Every run owns a private sim.Engine
+// and is a pure function of its Config, so independent runs are
 // embarrassingly parallel; the only cross-run state is the calibration
 // cache, which is singleflight-synchronized (see calibrated). Fan-out
 // happens at two levels: across registry entries (RunAll) and across
@@ -18,8 +18,27 @@ import (
 	"sync/atomic"
 	"time"
 
+	"servicefridge/internal/engine"
 	"servicefridge/internal/metrics"
 )
+
+// build constructs a run, panicking on an invalid configuration:
+// experiment configs are written in code, and runOne reports the panic as
+// the experiment's RunResult.Err.
+func build(cfg engine.Config) *engine.Result {
+	res, err := engine.BuildE(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// run builds cfg and executes it to completion, panicking like build.
+func run(cfg engine.Config) *engine.Result {
+	res := build(cfg)
+	res.Finish()
+	return res
+}
 
 // maxParallel bounds the number of simulation runs in flight per fan-out.
 var maxParallel atomic.Int64
@@ -41,7 +60,9 @@ func Parallelism() int { return int(maxParallel.Load()) }
 // parMap applies fn to every item on up to Parallelism() goroutines and
 // returns the results in input order. fn must not depend on execution
 // order (every simulation cell is seeded independently), which makes the
-// assembled result identical to a sequential loop.
+// assembled result identical to a sequential loop. A panicking cell is
+// re-raised on the calling goroutine once every worker has stopped, so
+// runOne's recover sees it at any width.
 func parMap[T, R any](items []T, fn func(T) R) []R {
 	out := make([]R, len(items))
 	workers := Parallelism()
@@ -56,10 +77,16 @@ func parMap[T, R any](items []T, fn func(T) R) []R {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var panicked atomic.Pointer[any]
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					panicked.CompareAndSwap(nil, &p)
+				}
+			}()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(items) {
@@ -70,6 +97,9 @@ func parMap[T, R any](items []T, fn func(T) R) []R {
 		}()
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(*p)
+	}
 	return out
 }
 

@@ -105,6 +105,27 @@ func TestRunAllCapturesPanicsAsErrors(t *testing.T) {
 	}
 }
 
+// TestRunAllCapturesCellPanics: a parMap cell panics on a worker goroutine,
+// not on runOne's, so parMap must carry the panic back for RunAll to report
+// it as RunResult.Err instead of the process dying at width >= 2.
+func TestRunAllCapturesCellPanics(t *testing.T) {
+	withParallelism(t, 2)
+	exps := []Experiment{{"cells", "panicking cell", func(uint64) []*metrics.Table {
+		parMap([]int{0, 1, 2, 3}, func(i int) int {
+			if i == 2 {
+				panic("cell kaboom")
+			}
+			return i
+		})
+		return nil
+	}}}
+	var got RunResult
+	RunAll(exps, 1, func(r RunResult) { got = r })
+	if got.Err == nil || !strings.Contains(got.Err.Error(), "cell kaboom") {
+		t.Fatalf("Err = %v, want the cell's panic", got.Err)
+	}
+}
+
 func slicesEqual(a, b []string) bool {
 	if len(a) != len(b) {
 		return false

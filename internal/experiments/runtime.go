@@ -6,7 +6,6 @@ import (
 
 	"servicefridge/internal/app"
 	"servicefridge/internal/engine"
-	"servicefridge/internal/fridge"
 	"servicefridge/internal/metrics"
 	"servicefridge/internal/sim"
 	"servicefridge/internal/workload"
@@ -30,7 +29,7 @@ func Figure12(seed uint64) []*metrics.Table {
 		Label string
 		A, B  float64
 	}) map[string]string {
-		res := engine.Run(engine.Config{
+		res := run(engine.Config{
 			Seed:           seed,
 			Scheme:         engine.ServiceFridge,
 			BudgetFraction: 0.8,
@@ -72,7 +71,7 @@ func Figure12(seed uint64) []*metrics.Table {
 func Figure13(seed uint64) []*metrics.Table {
 	maxReq := calibrated(seed)
 	tracked := []string{"ticketinfo", "seat", "config"}
-	res := engine.Run(engine.Config{
+	res := run(engine.Config{
 		Seed:           seed,
 		Scheme:         engine.ServiceFridge,
 		BudgetFraction: 0.8,
@@ -152,61 +151,30 @@ func Figure14(seed uint64) []*metrics.Table {
 			cell{0, 30, map[string]float64{"A": 30}, bud, "B"},
 		)
 	}
-	cellConfig := func(c cell) engine.Config {
-		return engine.Config{
-			Seed:           seed,
-			Scheme:         engine.ServiceFridge,
-			BudgetFraction: c.budget,
-			MaxRequired:    maxReq,
-			PoolWorkers:    mixPools(c.a, c.b),
-			Warmup:         5 * time.Second,
-			Duration:       20 * time.Second,
-			ProfLabel:      "fig14",
-		}
-	}
-	var summaries []metrics.Summary
-	if WarmStart() {
-		// The 24 cells share only two warmup prefixes (one per traffic
-		// mix): one donor each, with the budget and the controller's
-		// LoadOverride retargeted per fork. The override is applied after
-		// Restore — it is only read at control ticks, all of which replay
-		// after the barrier — so each fork matches its cold Tune'd run.
-		type group struct{ a, b float64 }
-		groups := []group{{30, 0}, {0, 30}}
-		perGroup := parMap(groups, func(g group) []metrics.Summary {
-			var gcells []cell
-			for _, c := range cells {
-				if c.a == g.a && c.b == g.b {
-					gcells = append(gcells, c)
-				}
+	// Cold, each cell is its own run; warm, the 24 cells share two donors
+	// (one per traffic mix) with the budget and the controller's
+	// LoadOverride retargeted per fork. The override is only read at
+	// control ticks, all of which run after the barrier.
+	type mix struct{ a, b float64 }
+	summaries := sweep(cells,
+		func(c cell) mix { return mix{c.a, c.b} },
+		func(c cell) engine.Config {
+			return engine.Config{
+				Seed:           seed,
+				Scheme:         engine.ServiceFridge,
+				BudgetFraction: c.budget,
+				MaxRequired:    maxReq,
+				PoolWorkers:    mixPools(c.a, c.b),
+				Warmup:         5 * time.Second,
+				Duration:       20 * time.Second,
+				ProfLabel:      "fig14",
 			}
-			donor := engine.Build(cellConfig(gcells[0]))
-			return forkEach(donor, gcells,
-				func(res *engine.Result, c cell) {
-					res.SetBudgetFraction(c.budget)
-					res.Fridge.LoadOverride = c.override
-				},
-				func(res *engine.Result, c cell) metrics.Summary {
-					return res.Summary(c.region)
-				})
-		})
-		summaries = make([]metrics.Summary, len(cells))
-		var taken [2]int
-		for i, c := range cells {
-			k := 0
-			if c.a == 0 {
-				k = 1
-			}
-			summaries[i] = perGroup[k][taken[k]]
-			taken[k]++
-		}
-	} else {
-		summaries = parMap(cells, func(c cell) metrics.Summary {
-			cfg := cellConfig(c)
-			cfg.Tune = func(f *fridge.Fridge) { f.LoadOverride = c.override }
-			return engine.Run(cfg).Summary(c.region)
-		})
-	}
+		},
+		func(res *engine.Result, c cell) {
+			res.SetBudgetFraction(c.budget)
+			res.Fridge.LoadOverride = c.override
+		},
+		func(res *engine.Result, c cell) metrics.Summary { return res.Summary(c.region) })
 
 	// (a) Real traffic 30:0; the mis-computed controller believes 0:30
 	// (over-estimates how light the situation is).

@@ -223,8 +223,6 @@ func (s Scenario) Normalize() (Scenario, error) {
 	return s, nil
 }
 
-func ptr(f float64) *float64 { return &f }
-
 func secs(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 // Warmup and Duration return the normalized phase lengths. They assume a

@@ -105,8 +105,8 @@ func TestScenarioConfigMatchesCLI(t *testing.T) {
 		Duration:       3 * time.Second,
 	}
 
-	got := engine.Run(cfg)
-	want := engine.Run(cli)
+	got := run(cfg)
+	want := run(cli)
 	for _, region := range []string{"", "A", "B"} {
 		if g, w := got.Summary(region), want.Summary(region); g != w {
 			t.Fatalf("region %q: scenario run %+v differs from CLI run %+v", region, g, w)
@@ -126,7 +126,7 @@ func TestScenarioMixMap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Config: %v", err)
 	}
-	res := engine.Run(cfg)
+	res := run(cfg)
 	if n := res.Summary("B").Count; n != 0 {
 		t.Fatalf("region B got %d requests despite zero weight", n)
 	}
@@ -177,3 +177,5 @@ func TestScenarioValidation(t *testing.T) {
 		t.Error("LoadScenario accepted trailing data")
 	}
 }
+
+func ptr(f float64) *float64 { return &f }

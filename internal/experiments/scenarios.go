@@ -51,15 +51,7 @@ func ExtScenarios(seed uint64) []*metrics.Table {
 		// Calibrate: offer 60% of the closed-loop throughput open-loop,
 		// so the uncapped system is stable but an 80% budget visibly
 		// bites, and anchor the budget to the measured peak draw.
-		cal := engine.Run(base)
-		window := cal.Engine.Now().Sub(cal.WarmupEnd).Seconds()
-		rates := make(map[string]float64, len(regions))
-		for _, r := range regions {
-			rates[r] = 0.6 * float64(cal.Summary(r).Count) / window
-		}
-		calCfg := base
-		calCfg.Spec = a.build()
-		maxReq := engine.CalibrateMaxRequired(calCfg)
+		rates, maxReq := openLoopCalibration(base, 0.6)
 
 		in := workload.GenInput{Regions: regions, Rates: rates, Horizon: warmup + measure, Seed: seed}
 		profiles := map[string]*workload.Profile{}
@@ -93,7 +85,7 @@ func ExtScenarios(seed uint64) []*metrics.Table {
 			}
 		}
 		rows := parMap(cells, func(c cell) []any {
-			res := engine.Run(engine.Config{
+			res := run(engine.Config{
 				Seed:           seed,
 				Spec:           a.build(),
 				Scheme:         c.scheme,

@@ -11,7 +11,6 @@ import (
 	"servicefridge/internal/app"
 	"servicefridge/internal/cluster"
 	"servicefridge/internal/engine"
-	"servicefridge/internal/fridge"
 	"servicefridge/internal/metrics"
 )
 
@@ -19,7 +18,7 @@ const shapeSeed = 11
 
 func shapeRun(t *testing.T, scheme engine.SchemeName, budget float64) *engine.Result {
 	t.Helper()
-	return engine.Run(engine.Config{
+	return run(engine.Config{
 		Seed:           shapeSeed,
 		Scheme:         scheme,
 		BudgetFraction: budget,
@@ -92,8 +91,8 @@ func TestShapeMisEstimationHurts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	run := func(override map[string]float64) metrics.Summary {
-		return engine.Run(engine.Config{
+	regionA := func(override map[string]float64) metrics.Summary {
+		res := build(engine.Config{
 			Seed:           shapeSeed,
 			Scheme:         engine.ServiceFridge,
 			BudgetFraction: 0.85,
@@ -101,11 +100,13 @@ func TestShapeMisEstimationHurts(t *testing.T) {
 			PoolWorkers:    map[string]int{"A": 50},
 			Warmup:         5 * time.Second,
 			Duration:       15 * time.Second,
-			Tune:           func(f *fridge.Fridge) { f.LoadOverride = override },
-		}).Summary("A")
+		})
+		res.Fridge.LoadOverride = override
+		res.Finish()
+		return res.Summary("A")
 	}
-	good := run(nil)
-	bad := run(map[string]float64{"B": 30})
+	good := regionA(nil)
+	bad := regionA(map[string]float64{"B": 30})
 	if bad.Mean <= good.Mean {
 		t.Fatalf("mis-computed MCF did not hurt: %v vs %v", bad.Mean, good.Mean)
 	}
@@ -150,7 +151,7 @@ func TestShapeIsolationAsymmetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	run := func(observed string, f cluster.GHz) time.Duration {
+	meanA := func(observed string, f cluster.GHz) time.Duration {
 		cfg := engine.Config{
 			Seed:        shapeSeed,
 			Scheme:      engine.Baseline,
@@ -162,12 +163,12 @@ func TestShapeIsolationAsymmetry(t *testing.T) {
 			cfg.PinTo = map[string]string{observed: "serverB"}
 			cfg.FixedFreqs = map[string]cluster.GHz{"serverB": f}
 		}
-		return engine.Run(cfg).Summary("A").Mean
+		return run(cfg).Summary("A").Mean
 	}
-	tiFast := run("ticketinfo", cluster.FreqMax)
-	tiSlow := run("ticketinfo", 1.8)
-	basicFast := run("basic", cluster.FreqMax)
-	basicSlow := run("basic", 1.8)
+	tiFast := meanA("ticketinfo", cluster.FreqMax)
+	tiSlow := meanA("ticketinfo", 1.8)
+	basicFast := meanA("basic", cluster.FreqMax)
+	basicSlow := meanA("basic", 1.8)
 	criticalHit := float64(tiSlow) / float64(tiFast)
 	nonCriticalHit := float64(basicSlow) / float64(basicFast)
 	if criticalHit < 1.05 {
@@ -184,7 +185,7 @@ func TestShapeFigure12FrequencyPattern(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	res := engine.Run(engine.Config{
+	res := run(engine.Config{
 		Seed:           shapeSeed,
 		Scheme:         engine.ServiceFridge,
 		BudgetFraction: 0.8,

@@ -25,18 +25,13 @@ func ExtSLO(seed uint64) []*metrics.Table {
 	// Calibrate like ext-openloop: offer 80% of the baseline closed-loop
 	// throughput, so the uncapped system is comfortably stable and any
 	// violation is attributable to the budget, not the load.
-	base := engine.Config{
+	rates, maxReq := openLoopCalibration(engine.Config{
 		Seed:        seed,
 		PoolWorkers: studyPools(),
 		Warmup:      warmup,
 		Duration:    15 * time.Second,
 		ProfLabel:   "ext-slo",
-	}
-	cal := engine.Run(base)
-	window := cal.Engine.Now().Sub(cal.WarmupEnd).Seconds()
-	rateA := 0.8 * float64(cal.Summary("A").Count) / window
-	rateB := 0.8 * float64(cal.Summary("B").Count) / window
-	maxReq := engine.CalibrateMaxRequired(base)
+	}, 0.8)
 
 	type combo struct {
 		scheme engine.SchemeName
@@ -50,72 +45,46 @@ func ExtSLO(seed uint64) []*metrics.Table {
 		}
 	}
 
-	comboConfig := func(c combo, tel *telemetry.Telemetry) engine.Config {
-		return engine.Config{
-			Seed:           seed,
-			Scheme:         c.scheme,
-			BudgetFraction: c.budget,
-			MaxRequired:    maxReq,
-			OpenLoopRate:   map[string]float64{"A": rateA, "B": rateB},
-			Warmup:         warmup,
-			Duration:       duration,
-			Telemetry:      tel,
-			ProfLabel:      "ext-slo",
-		}
-	}
-	newTel := func() *telemetry.Telemetry {
-		return telemetry.New(telemetry.Options{
-			SLO: telemetry.SLOOptions{Target: target, Grace: warmup},
-		})
-	}
-	report := func(tel *telemetry.Telemetry, c combo) []any {
-		all := tel.SLOReport()[0]
-		first, headroom := "never", "-"
-		violation := "0.0%"
-		if all.FirstViolation >= 0 {
-			first = fmt.Sprintf("t=%.0fs", all.FirstViolation.Seconds())
-			if all.HasHeadroom {
-				headroom = fmt.Sprintf("%.1fW", all.HeadroomAtFirst)
-			}
-		}
-		if all.EvalTicks > 0 {
-			violation = pct(float64(all.ViolationTicks) / float64(all.EvalTicks))
-		}
-		return []any{string(c.scheme), pct(c.budget), first, violation, headroom}
-	}
-
 	tb := metrics.NewTable(
 		fmt.Sprintf("Extension: SLO violations (all-regions p95 > %v) vs power budget, open-loop A %.1f/s B %.1f/s",
-			target, rateA, rateB),
+			target, rates["A"], rates["B"]),
 		"scheme", "budget", "first violation", "violation time", "headroom then")
-	var rows [][]any
-	if WarmStart() {
-		// One donor (and one bound telemetry instance) per scheme; each
-		// budget fork restores the telemetry alongside the simulation, so
-		// its report reads exactly like a cold run's.
-		perScheme := parMap(engine.AllSchemes(), func(s engine.SchemeName) [][]any {
-			var sc []combo
-			for _, c := range combos {
-				if c.scheme == s {
-					sc = append(sc, c)
+	// Warm, one donor (and one bound telemetry instance) per scheme; each
+	// budget fork restores the telemetry alongside the simulation, so its
+	// report reads exactly like a cold run's.
+	rows := sweep(combos,
+		func(c combo) engine.SchemeName { return c.scheme },
+		func(c combo) engine.Config {
+			return engine.Config{
+				Seed:           seed,
+				Scheme:         c.scheme,
+				BudgetFraction: c.budget,
+				MaxRequired:    maxReq,
+				OpenLoopRate:   rates,
+				Warmup:         warmup,
+				Duration:       duration,
+				Telemetry: telemetry.New(telemetry.Options{
+					SLO: telemetry.SLOOptions{Target: target, Grace: warmup},
+				}),
+				ProfLabel: "ext-slo",
+			}
+		},
+		func(res *engine.Result, c combo) { res.SetBudgetFraction(c.budget) },
+		func(res *engine.Result, c combo) []any {
+			all := res.Config.Telemetry.SLOReport()[0]
+			first, headroom := "never", "-"
+			violation := "0.0%"
+			if all.FirstViolation >= 0 {
+				first = fmt.Sprintf("t=%.0fs", all.FirstViolation.Seconds())
+				if all.HasHeadroom {
+					headroom = fmt.Sprintf("%.1fW", all.HeadroomAtFirst)
 				}
 			}
-			tel := newTel()
-			donor := engine.Build(comboConfig(sc[0], tel))
-			return forkEach(donor, sc,
-				func(res *engine.Result, c combo) { res.SetBudgetFraction(c.budget) },
-				func(res *engine.Result, c combo) []any { return report(tel, c) })
+			if all.EvalTicks > 0 {
+				violation = pct(float64(all.ViolationTicks) / float64(all.EvalTicks))
+			}
+			return []any{string(c.scheme), pct(c.budget), first, violation, headroom}
 		})
-		for _, rs := range perScheme {
-			rows = append(rows, rs...)
-		}
-	} else {
-		rows = parMap(combos, func(c combo) []any {
-			tel := newTel()
-			engine.Run(comboConfig(c, tel))
-			return report(tel, c)
-		})
-	}
 	for _, row := range rows {
 		tb.Rowf(row...)
 	}

@@ -227,6 +227,18 @@ func (m *Meter) PeakDynamic() Watts {
 	return peak
 }
 
+// PeakTotal returns the maximum whole-cluster draw over all windows — the
+// measured maximum required power of an uncapped run.
+func (m *Meter) PeakTotal() Watts {
+	var peak Watts
+	for _, c := range m.totals {
+		if c.Total > peak {
+			peak = c.Total
+		}
+	}
+	return peak
+}
+
 // DynamicRange returns max−min cluster dynamic power across windows — the
 // "dynamic power range" whose 25% reduction is the paper's headline.
 func (m *Meter) DynamicRange() Watts {

@@ -260,10 +260,7 @@ func TestCLIParity(t *testing.T) {
 		Duration:       30 * time.Second,
 		Telemetry:      tel,
 	}
-	res, err := engine.RunE(cfg)
-	if err != nil {
-		t.Fatalf("RunE: %v", err)
-	}
+	res := runConfig(t, cfg)
 	var want bytes.Buffer
 	cliutil.RunReport(&want, res, tel, telemetry.DefaultSLOTarget)
 	if doc.Report != want.String() {
@@ -465,7 +462,7 @@ func TestLedgerEndpointMatchesCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Ledger = obs.NewLedger()
-	engine.Run(cfg)
+	runConfig(t, cfg)
 	var want bytes.Buffer
 	if err := cfg.Ledger.WriteJSONL(&want); err != nil {
 		t.Fatal(err)
@@ -533,4 +530,16 @@ func TestExplainEndpoint(t *testing.T) {
 	if code, _ := doReq(t, "GET", ts.URL+"/sessions/"+id+"/explain?t=abc", ""); code != http.StatusBadRequest {
 		t.Fatalf("non-integer tick: status %d, want 400", code)
 	}
+}
+
+// runConfig builds cfg and runs it to completion, the direct-run reference
+// a session's outputs are compared against.
+func runConfig(t *testing.T, cfg engine.Config) *engine.Result {
+	t.Helper()
+	res, err := engine.BuildE(cfg)
+	if err != nil {
+		t.Fatalf("BuildE: %v", err)
+	}
+	res.Finish()
+	return res
 }
