@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"time"
 )
 
@@ -154,7 +155,7 @@ func ParseSpec(data []byte) (spec *Spec, err error) {
 		r := Region{
 			Name:    rj.Name,
 			API:     rj.API,
-			APIExec: time.Duration(rj.APIExecMs * float64(time.Millisecond)),
+			APIExec: msDuration("region "+rj.Name+" apiExecMs", rj.APIExecMs),
 		}
 		for _, stage := range rj.Stages {
 			var st Stage
@@ -162,7 +163,7 @@ func ParseSpec(data []byte) (spec *Spec, err error) {
 				st = append(st, Call{
 					Service:     c.Service,
 					Times:       c.Times,
-					Exec:        time.Duration(c.ExecMs * float64(time.Millisecond)),
+					Exec:        msDuration("region "+rj.Name+" call to "+c.Service+" execMs", c.ExecMs),
 					Concurrency: c.Concurrency,
 				})
 			}
@@ -171,6 +172,16 @@ func ParseSpec(data []byte) (spec *Spec, err error) {
 		s.AddRegion(r)
 	}
 	return s, nil
+}
+
+// msDuration converts fractional milliseconds to a Duration, panicking
+// (an error, under ParseSpec's recover) when the nanoseconds overflow
+// int64: converted anyway, they would wrap to a negative Duration.
+func msDuration(field string, ms float64) time.Duration {
+	if ms*float64(time.Millisecond) >= math.MaxInt64 {
+		panic(fmt.Sprintf("%s %v overflows the longest time.Duration (%v)", field, ms, time.Duration(math.MaxInt64)))
+	}
+	return time.Duration(ms * float64(time.Millisecond))
 }
 
 // ReadSpec decodes a JSON application spec from r.

@@ -73,21 +73,36 @@ func TestParseSpecErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		in   string
+		want string // substring of the error, when set
 	}{
-		{"bad json", `{`},
-		{"empty", `{}`},
-		{"unknown kind", `{"services":[{"name":"x","kind":"weird"}]}`},
-		{"bad cpushare", `{"services":[{"name":"x","kind":"function","cpuShare":2}]}`},
+		{"bad json", `{`, ""},
+		{"empty", `{}`, ""},
+		{"unknown kind", `{"services":[{"name":"x","kind":"weird"}]}`, ""},
+		{"bad cpushare", `{"services":[{"name":"x","kind":"function","cpuShare":2}]}`, ""},
 		{"unknown api", `{"services":[{"name":"f","kind":"function"}],
-			"regions":[{"name":"r","api":"ghost","apiExecMs":1,"stages":[]}]}`},
+			"regions":[{"name":"r","api":"ghost","apiExecMs":1,"stages":[]}]}`, ""},
 		{"unknown callee", `{"services":[{"name":"a","kind":"api"}],
 			"regions":[{"name":"r","api":"a","apiExecMs":1,
-			"stages":[[{"service":"ghost","times":1,"execMs":1}]]}]}`},
-		{"duplicate service", `{"services":[{"name":"a","kind":"api"},{"name":"a","kind":"api"}]}`},
+			"stages":[[{"service":"ghost","times":1,"execMs":1}]]}]}`, ""},
+		{"duplicate service", `{"services":[{"name":"a","kind":"api"},{"name":"a","kind":"api"}]}`, ""},
+		{"negative jitter", `{"services":[{"name":"f","kind":"function","jitter":-0.1}]}`, "negative jitter"},
+		{"negative apiExecMs", `{"services":[{"name":"a","kind":"api"}],
+			"regions":[{"name":"r","api":"a","apiExecMs":-5,"stages":[]}]}`, "negative API exec"},
+		{"negative apiExecMs with jitter", `{"services":[{"name":"a","kind":"api","jitter":0.1}],
+			"regions":[{"name":"r","api":"a","apiExecMs":-5,"stages":[]}]}`, "negative API exec"},
+		{"apiExecMs overflows", `{"services":[{"name":"a","kind":"api"}],
+			"regions":[{"name":"r","api":"a","apiExecMs":1e13,"stages":[]}]}`, "apiExecMs 1e+13 overflows"},
+		{"execMs overflows", `{"services":[{"name":"a","kind":"api"},{"name":"f","kind":"function"}],
+			"regions":[{"name":"r","api":"a","apiExecMs":1,
+			"stages":[[{"service":"f","times":1,"execMs":9223372036854.775807}]]}]}`, "call to f execMs"},
 	}
 	for _, c := range cases {
-		if _, err := ParseSpec([]byte(c.in)); err == nil {
+		_, err := ParseSpec([]byte(c.in))
+		if err == nil {
 			t.Fatalf("%s: expected error", c.name)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 	}
 }

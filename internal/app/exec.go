@@ -10,12 +10,14 @@ import (
 	"servicefridge/internal/trace"
 )
 
-// Placement resolves which server runs the next invocation of a service.
-// The orchestrator implements it; tests can use fixed maps.
+// Placement resolves which server runs each invocation of a service. The
+// orchestrator implements it; tests can use fixed maps.
 type Placement interface {
-	// HostFor returns the server for the next call to service, or nil if
-	// the service has no running instance.
-	HostFor(service string) *cluster.Server
+	// Route returns service's host picker: each call returns the server
+	// for the next invocation, or nil if the service has no running
+	// instance. The executor resolves every service's picker once, so a
+	// picker must follow later placement changes and snapshot restores.
+	Route(service string) func() *cluster.Server
 }
 
 // Executor replays requests of an application Spec against a cluster. One
@@ -28,9 +30,10 @@ type Placement interface {
 // live object sets are enumerable, which is what makes the executor
 // snapshot/restorable for warm-started sweeps.
 type Executor struct {
-	eng   *sim.Engine
-	spec  *Spec
-	place Placement
+	eng  *sim.Engine
+	spec *Spec
+	// hosts holds each service's Placement.Route picker, by service ID.
+	hosts []func() *cluster.Server
 	col   *trace.Collector
 	rng   *sim.RNG
 	// NetDelay is the one-way network latency added before each
@@ -65,18 +68,18 @@ type request struct {
 	region    *Region
 	tr        *trace.Trace
 	onDone    func(*trace.Trace)
-	stage     int // current stage index (-1 while the API job runs)
+	stage     int // current index into region.plan (-1 while the API job runs)
 	stageLeft int // calls of the current stage not yet complete
 }
 
-// callRun drives one Call of a stage: Times invocations with at most
-// Concurrency in flight.
+// callRun drives one call of a stage: plan.times invocations with at most
+// plan.conc in flight.
 type callRun struct {
 	x       *Executor
 	liveIdx int
 
 	req               *request
-	call              Call
+	plan              *callPlan
 	issued, completed int
 }
 
@@ -89,12 +92,11 @@ type invocation struct {
 	x       *Executor
 	liveIdx int
 
-	req     *request // owner when this is the region's API invocation
-	cr      *callRun // owner when this is a stage-call invocation
-	tr      *trace.Trace
-	service string
-	ms      *Microservice
-	demand  time.Duration
+	req    *request // owner when this is the region's API invocation
+	cr     *callRun // owner when this is a stage-call invocation
+	tr     *trace.Trace
+	plan   *callPlan
+	demand time.Duration
 
 	host               *cluster.Server
 	submitted, started sim.Time
@@ -106,10 +108,15 @@ type invocation struct {
 
 // NewExecutor builds an executor. rng should be a dedicated sub-stream.
 func NewExecutor(eng *sim.Engine, spec *Spec, place Placement, col *trace.Collector, rng *sim.RNG) *Executor {
-	return &Executor{
-		eng: eng, spec: spec, place: place, col: col, rng: rng,
+	x := &Executor{
+		eng: eng, spec: spec, col: col, rng: rng,
+		hosts:    make([]func() *cluster.Server, len(spec.serviceOrder)),
 		NetDelay: 100 * time.Microsecond,
 	}
+	for id, name := range spec.serviceOrder {
+		x.hosts[id] = place.Route(name)
+	}
+	return x
 }
 
 // SetProfiler attaches a phase profiler to the executor's invocation
@@ -139,17 +146,14 @@ func (x *Executor) Launch(regionName string, onDone func(*trace.Trace)) {
 	// stages and waits for them (§2.1: upper-level services "not only
 	// perform their own tasks, but also wait for the return of the
 	// lower-level microservices").
-	x.invoke(req, nil, req.tr, r.API, r.APIExec)
+	x.invoke(req, nil, req.tr, &r.api)
 }
 
 // startStage begins stage idx of the request, issuing every call's initial
 // concurrent invocations; past the last stage the request finishes.
 func (r *request) startStage(idx int) {
 	x := r.x
-	stages := r.region.Stages
-	for idx < len(stages) && len(stages[idx]) == 0 {
-		idx++
-	}
+	stages := r.region.plan
 	if idx >= len(stages) {
 		r.finish()
 		return
@@ -157,19 +161,12 @@ func (r *request) startStage(idx int) {
 	r.stage = idx
 	r.stageLeft = len(stages[idx])
 	for i := range stages[idx] {
-		c := stages[idx][i]
+		p := &stages[idx][i]
 		cr := x.acquireCall()
 		cr.req = r
-		cr.call = c
+		cr.plan = p
 		cr.issued, cr.completed = 0, 0
-		conc := c.Concurrency
-		if conc < 1 {
-			conc = 1
-		}
-		if conc > c.Times {
-			conc = c.Times
-		}
-		for k := 0; k < conc; k++ {
+		for k := 0; k < p.conc; k++ {
 			cr.issueNext()
 		}
 	}
@@ -197,27 +194,20 @@ func (r *request) finish() {
 
 // issueNext launches the call's next invocation unless all have been issued.
 func (cr *callRun) issueNext() {
-	if cr.issued >= cr.call.Times {
+	if cr.issued >= cr.plan.times {
 		return
 	}
 	cr.issued++
-	cr.x.invoke(nil, cr, cr.req.tr, cr.call.Service, cr.call.Exec)
+	cr.x.invoke(nil, cr, cr.req.tr, cr.plan)
 }
 
-// invoke starts one invocation of service with the given mean demand on
-// behalf of req (API layer) or cr (stage call).
-func (x *Executor) invoke(req *request, cr *callRun, tr *trace.Trace, service string, meanExec time.Duration) {
-	ms := x.spec.Service(service)
-	if ms == nil {
-		panic(fmt.Sprintf("app: invoke of unknown service %q", service))
-	}
-	demand := meanExec
-	if ms.Jitter > 0 {
-		demand = time.Duration(x.rng.LogNormal(float64(meanExec), ms.Jitter*float64(meanExec)))
-	}
+// invoke starts one invocation of plan's service on behalf of req (API
+// layer) or cr (stage call).
+func (x *Executor) invoke(req *request, cr *callRun, tr *trace.Trace, plan *callPlan) {
+	demand := plan.demand(x.rng)
 	inv := x.acquireInv()
 	inv.req, inv.cr, inv.tr = req, cr, tr
-	inv.service, inv.ms, inv.demand = service, ms, demand
+	inv.plan, inv.demand = plan, demand
 	if x.NetDelay > 0 {
 		x.eng.Schedule(x.NetDelay, inv.submitFn)
 	} else {
@@ -230,15 +220,16 @@ func (inv *invocation) submit() {
 	// Count-only: a timed scope per invocation costs more than the
 	// handler (see prof.Count); the wall time lands under Dispatch.
 	x.prof.Count(prof.Exec)
-	host := x.place.HostFor(inv.service)
+	ms := inv.plan.ms
+	host := x.hosts[ms.id]()
 	if host == nil {
-		panic(fmt.Sprintf("app: service %q has no placed instance", inv.service))
+		panic(fmt.Sprintf("app: service %q has no placed instance", ms.Name))
 	}
 	inv.host = host
 	inv.submitted = x.eng.Now()
-	inv.job.Tag = inv.service
+	inv.job.Tag, inv.job.TagID = ms.Name, ms.id
 	inv.job.Demand = inv.demand
-	inv.job.Slowdown = inv.ms.Slowdown()
+	inv.job.Slowdown = ms.slowdown
 	host.Submit(&inv.job)
 }
 
@@ -250,18 +241,19 @@ func (inv *invocation) onStart() {
 func (inv *invocation) onDone() {
 	x := inv.x
 	x.col.AddSpan(inv.tr, trace.Span{
-		Service: inv.service,
-		Host:    inv.host.Name(),
-		Submit:  inv.submitted,
-		Start:   inv.started,
-		End:     x.eng.Now(),
-		FreqGHz: inv.startGHz,
+		Service:   inv.plan.ms.Name,
+		ServiceID: inv.plan.ms.id,
+		Host:      inv.host.Name(),
+		Submit:    inv.submitted,
+		Start:     inv.started,
+		End:       x.eng.Now(),
+		FreqGHz:   inv.startGHz,
 	})
 	req, cr := inv.req, inv.cr
 	x.releaseInv(inv)
 	if cr != nil {
 		cr.completed++
-		if cr.completed == cr.call.Times {
+		if cr.completed == cr.plan.times {
 			r := cr.req
 			x.releaseCall(cr)
 			r.callDone()
@@ -322,7 +314,7 @@ func (x *Executor) releaseCall(c *callRun) {
 	last.liveIdx = c.liveIdx
 	x.liveCalls[n] = nil
 	x.liveCalls = x.liveCalls[:n]
-	c.req = nil
+	c.req, c.plan = nil, nil
 	x.freeCalls = append(x.freeCalls, c)
 }
 
@@ -350,6 +342,6 @@ func (x *Executor) releaseInv(inv *invocation) {
 	last.liveIdx = inv.liveIdx
 	x.liveInvs[n] = nil
 	x.liveInvs = x.liveInvs[:n]
-	inv.req, inv.cr, inv.tr, inv.ms, inv.host = nil, nil, nil, nil, nil
+	inv.req, inv.cr, inv.tr, inv.plan, inv.host = nil, nil, nil, nil, nil
 	x.freeInvs = append(x.freeInvs, inv)
 }

@@ -30,7 +30,9 @@ func zeroJitterStudy() *Spec {
 // service has a running instance).
 type onePlacement struct{ srv *cluster.Server }
 
-func (p onePlacement) HostFor(string) *cluster.Server { return p.srv }
+func (p onePlacement) Route(string) func() *cluster.Server {
+	return func() *cluster.Server { return p.srv }
+}
 
 func newTestExecutor(t *testing.T, spec *Spec, cores int) (*sim.Engine, *Executor, *cluster.Server) {
 	t.Helper()

@@ -72,18 +72,15 @@ type Microservice struct {
 	DB string
 
 	// slowdown caches the β curve so the per-invocation hot path never
-	// re-closes over CPUShare. Built by AddService; rebuilt lazily for
-	// hand-constructed values.
+	// re-closes over CPUShare. Built by AddService.
 	slowdown cluster.SlowdownFunc
+	// id is the service's dense index in registration order, assigned by
+	// AddService; the executor indexes its per-service routes by it.
+	id int
 }
 
 // Slowdown returns the service's β curve as a cluster.SlowdownFunc.
-func (m *Microservice) Slowdown() cluster.SlowdownFunc {
-	if m.slowdown == nil {
-		m.slowdown = cluster.LinearSlowdown(m.CPUShare)
-	}
-	return m.slowdown
-}
+func (m *Microservice) Slowdown() cluster.SlowdownFunc { return m.slowdown }
 
 // Beta returns the execution-time inflation factor at frequency f relative
 // to FreqMax — the variance coefficient β of Equation (2).
@@ -129,6 +126,12 @@ type Region struct {
 	APIExec time.Duration
 	// Stages execute sequentially per request.
 	Stages []Stage
+
+	// Resolved by AddRegion (see plan.go); a registered Region is
+	// immutable, so concurrent runs share these read-only.
+	api      callPlan
+	plan     [][]callPlan // Stages without the empty stages
+	services []string     // distinct callees in first-call order
 }
 
 // Calls flattens the region's stages into a single list.
@@ -169,18 +172,9 @@ func (r *Region) CallTo(service string) (c Call, ok bool) {
 }
 
 // ServiceNames returns the distinct function services the region calls, in
-// first-call order.
-func (r *Region) ServiceNames() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, c := range r.Calls() {
-		if !seen[c.Service] {
-			seen[c.Service] = true
-			out = append(out, c.Service)
-		}
-	}
-	return out
-}
+// first-call order. The list is computed by AddRegion and shared: callers
+// must not modify it.
+func (r *Region) ServiceNames() []string { return r.services[:len(r.services):len(r.services)] }
 
 // Spec is a complete application: services plus regions.
 type Spec struct {
@@ -200,6 +194,8 @@ func NewSpec() *Spec {
 
 // AddService registers a microservice profile. Duplicate names panic: the
 // specs are program data, so a duplicate is a bug, not an input error.
+// The registered profile must not be modified afterwards: regions resolve
+// their call plans against it.
 func (s *Spec) AddService(m Microservice) *Microservice {
 	if _, dup := s.services[m.Name]; dup {
 		panic(fmt.Sprintf("app: duplicate service %q", m.Name))
@@ -207,16 +203,21 @@ func (s *Spec) AddService(m Microservice) *Microservice {
 	if m.CPUShare < 0 || m.CPUShare > 1 {
 		panic(fmt.Sprintf("app: service %q CPUShare %v outside [0,1]", m.Name, m.CPUShare))
 	}
+	if m.Jitter < 0 {
+		panic(fmt.Sprintf("app: service %q has negative jitter %v", m.Name, m.Jitter))
+	}
 	cp := m
 	cp.slowdown = cluster.LinearSlowdown(cp.CPUShare)
+	cp.id = len(s.serviceOrder)
 	s.services[m.Name] = &cp
 	s.serviceOrder = append(s.serviceOrder, m.Name)
 	return &cp
 }
 
-// AddRegion registers a region. The API service and every callee must
-// already be registered, callees must be function services, and call
-// parameters must be positive.
+// AddRegion registers a region and resolves its call plan. The API service
+// and every callee must already be registered, callees must be function
+// services, call parameters must be positive and the API's own work must
+// not be negative. The registered region must not be modified afterwards.
 func (s *Spec) AddRegion(r Region) *Region {
 	if _, dup := s.regions[r.Name]; dup {
 		panic(fmt.Sprintf("app: duplicate region %q", r.Name))
@@ -227,6 +228,9 @@ func (s *Spec) AddRegion(r Region) *Region {
 	}
 	if api.Kind != KindAPI {
 		panic(fmt.Sprintf("app: region %q API %q is %v, want api", r.Name, r.API, api.Kind))
+	}
+	if r.APIExec < 0 {
+		panic(fmt.Sprintf("app: region %q has negative API exec %v", r.Name, r.APIExec))
 	}
 	for _, c := range r.Calls() {
 		callee, ok := s.services[c.Service]
@@ -241,6 +245,7 @@ func (s *Spec) AddRegion(r Region) *Region {
 		}
 	}
 	cp := r
+	cp.resolve(s)
 	s.regions[r.Name] = &cp
 	s.regionOrder = append(s.regionOrder, r.Name)
 	return &cp

@@ -41,6 +41,11 @@ type Job struct {
 	// microservice name); per-tag accounting feeds per-service power
 	// attribution (paper Figure 13).
 	Tag string
+	// TagID is a dense index for Tag (the service ID, for invocations).
+	// A server finds the tag's busy accumulator by it without hashing
+	// Tag; when the server has bound TagID to another tag, it falls back
+	// to Tag, so jobs that leave TagID zero are still accounted exactly.
+	TagID int
 	// Demand is the pure execution time at FreqMax.
 	Demand time.Duration
 	// Slowdown is the job's frequency sensitivity; nil means fully
@@ -59,7 +64,14 @@ type Job struct {
 	// busyCell caches the server's per-tag busy accumulator for this job's
 	// Tag, so accruing busy time never hashes the tag string.
 	busyCell *time.Duration
+	// srv is the server the job last started on; fire, bound once per Job
+	// object, completes the job there, so scheduling a completion
+	// allocates no closure.
+	srv  *Server
+	fire sim.Handler
 }
+
+func (j *Job) complete() { j.srv.complete(j) }
 
 func (j *Job) slowdownAt(f GHz) float64 {
 	if j.Slowdown == nil {
@@ -91,19 +103,29 @@ type Server struct {
 	// fresh calendar sequence numbers, and map iteration would assign them
 	// in a different order every run.
 	running []*Job
-	queue   []*Job
+	// queue is the FIFO of waiting jobs: queue[head:] in arrival order.
+	// Dequeue advances head; Submit compacts the slice when it would
+	// otherwise grow.
+	queue []*Job
+	head  int
 
 	// busy accounting: cumulative core-busy time, total and per tag. The
 	// per-tag accumulators are boxed so jobs can cache a pointer to their
 	// tag's cell (Job.busyCell); a box, once created, is never replaced.
 	busyTotal  time.Duration
 	busyByTag  map[string]*time.Duration
+	busyByID   []busyBox // busyByTag's boxes indexed by the first Job.TagID seen with each tag
 	lastUpdate sim.Time
 
 	// completedJobs counts jobs fully served, for tests and reports.
 	completedJobs uint64
 	// freqChanges counts DVFS transitions, to expose control overhead.
 	freqChanges uint64
+}
+
+type busyBox struct {
+	tag  string
+	cell *time.Duration
 }
 
 // NewServer creates a server with the given core count, initially at
@@ -138,7 +160,7 @@ func (s *Server) Freq() GHz { return s.freq }
 func (s *Server) InFlight() int { return len(s.running) }
 
 // QueueLen returns the number of jobs waiting for a core.
-func (s *Server) QueueLen() int { return len(s.queue) }
+func (s *Server) QueueLen() int { return len(s.queue) - s.head }
 
 // Completed returns the count of fully served jobs.
 func (s *Server) Completed() uint64 { return s.completedJobs }
@@ -195,6 +217,12 @@ func (s *Server) Submit(j *Job) {
 		s.start(j)
 		return
 	}
+	if s.head > 0 && len(s.queue) == cap(s.queue) {
+		n := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[n:])
+		s.queue = s.queue[:n]
+		s.head = 0
+	}
 	s.queue = append(s.queue, j)
 }
 
@@ -204,12 +232,8 @@ func (s *Server) start(j *Job) {
 	j.factor = j.slowdownAt(s.freq)
 	j.since = s.eng.Now()
 	j.running = true
-	cell := s.busyByTag[j.Tag]
-	if cell == nil {
-		cell = new(time.Duration)
-		s.busyByTag[j.Tag] = cell
-	}
-	j.busyCell = cell
+	j.srv = s
+	j.busyCell = s.busyCellFor(j)
 	s.running = append(s.running, j)
 	if j.OnStart != nil {
 		j.OnStart()
@@ -217,9 +241,35 @@ func (s *Server) start(j *Job) {
 	s.scheduleCompletion(j)
 }
 
+// busyCellFor returns the busy accumulator of j's tag, found by TagID
+// when that slot is bound to j.Tag and by hashing the tag otherwise.
+func (s *Server) busyCellFor(j *Job) *time.Duration {
+	id := j.TagID
+	if uint(id) < uint(len(s.busyByID)) && s.busyByID[id].cell != nil && s.busyByID[id].tag == j.Tag {
+		return s.busyByID[id].cell
+	}
+	cell := s.busyByTag[j.Tag]
+	if cell == nil {
+		cell = new(time.Duration)
+		s.busyByTag[j.Tag] = cell
+	}
+	if id >= 0 {
+		if id >= len(s.busyByID) {
+			s.busyByID = append(s.busyByID, make([]busyBox, id+1-len(s.busyByID))...)
+		}
+		if s.busyByID[id].cell == nil {
+			s.busyByID[id] = busyBox{tag: j.Tag, cell: cell}
+		}
+	}
+	return cell
+}
+
 func (s *Server) scheduleCompletion(j *Job) {
 	wall := time.Duration(float64(j.remaining) * j.factor)
-	j.timer = s.eng.After(wall, func() { s.complete(j) })
+	if j.fire == nil {
+		j.fire = j.complete
+	}
+	j.timer = s.eng.After(wall, j.fire)
 }
 
 func (s *Server) complete(j *Job) {
@@ -237,11 +287,13 @@ func (s *Server) complete(j *Job) {
 	s.completedJobs++
 	// Start the next queued job before the completion callback so that
 	// callbacks observing queue lengths see a settled state.
-	if len(s.queue) > 0 {
-		next := s.queue[0]
-		copy(s.queue, s.queue[1:])
-		s.queue[len(s.queue)-1] = nil
-		s.queue = s.queue[:len(s.queue)-1]
+	if s.head < len(s.queue) {
+		next := s.queue[s.head]
+		s.queue[s.head] = nil
+		s.head++
+		if s.head == len(s.queue) {
+			s.queue, s.head = s.queue[:0], 0
+		}
 		s.start(next)
 	}
 	if j.OnDone != nil {

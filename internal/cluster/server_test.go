@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -408,6 +409,64 @@ func TestClusterSetAllMaxFreq(t *testing.T) {
 	for _, s := range c.Servers() {
 		if s.Freq() != 2.0 || s.maxFreq != 2.0 {
 			t.Fatalf("server %s freq=%v max=%v, want 2.0/2.0", s.Name(), s.Freq(), s.maxFreq)
+		}
+	}
+}
+
+// TestQueueFIFOAcrossCompactionAndRestore drives the head-indexed queue
+// through dequeues, a compacting Submit and a snapshot restore: jobs
+// complete in submission order every time, and a restore brings back
+// exactly the waiting jobs of the snapshot.
+func TestQueueFIFOAcrossCompactionAndRestore(t *testing.T) {
+	eng := sim.NewEngine(1)
+	s := NewServer(eng, "n1", RoleNormalWorker, 1)
+	var order []int
+	submit := func(id int) {
+		s.Submit(&Job{Tag: "svc", Demand: time.Millisecond, OnDone: func() { order = append(order, id) }})
+	}
+	for i := 0; i < 4; i++ {
+		submit(i)
+	}
+	eng.RunFor(2500 * time.Microsecond) // 0 and 1 done, 2 running, 3 waiting
+	submit(4)
+	submit(5) // the queue is full with two dequeued slots: compacts
+	if s.QueueLen() != 3 {
+		t.Fatalf("queue = %d, want 3", s.QueueLen())
+	}
+	engSnap, srvSnap := eng.Snapshot(), s.Snapshot()
+	eng.RunFor(time.Millisecond) // 2 done, 3 running: the queue head has advanced
+	if want := []int{0, 1, 2}; !slices.Equal(order, want) || s.QueueLen() != 2 {
+		t.Fatalf("completion order %v with %d waiting, want %v with 2", order, s.QueueLen(), want)
+	}
+	eng.Restore(engSnap)
+	s.Restore(srvSnap)
+	if s.QueueLen() != 3 || s.InFlight() != 1 {
+		t.Fatalf("restored queue/inflight = %d/%d, want 3/1", s.QueueLen(), s.InFlight())
+	}
+	order = order[:0]
+	submit(6)
+	eng.Run()
+	if want := []int{2, 3, 4, 5, 6}; !slices.Equal(order, want) {
+		t.Fatalf("completion order after restore %v, want %v", order, want)
+	}
+}
+
+// TestBusyByTagIDFallsBackToTag: jobs sharing a TagID but not a Tag, and
+// a tag seen under two TagIDs, are still accounted to their own tags.
+func TestBusyByTagIDFallsBackToTag(t *testing.T) {
+	eng := sim.NewEngine(1)
+	s := NewServer(eng, "n1", RoleNormalWorker, 1)
+	for _, j := range []struct {
+		tag string
+		id  int
+		ms  int
+	}{{"a", 0, 1}, {"b", 0, 2}, {"c", 3, 4}, {"a", 3, 8}, {"b", 0, 16}, {"a", 0, 32}} {
+		s.Submit(&Job{Tag: j.tag, TagID: j.id, Demand: time.Duration(j.ms) * time.Millisecond})
+	}
+	eng.Run()
+	for tag, want := range map[string]time.Duration{"a": 41 * time.Millisecond, "b": 18 * time.Millisecond, "c": 4 * time.Millisecond} {
+		if got := s.BusyCoreTimeByTag(tag); got != want {
+			t.Fatalf("busy[%s] = %v, want %v", tag, got, want)
 		}
 	}
 }

@@ -45,8 +45,8 @@ func (s *Server) Snapshot() *ServerState {
 	for i, j := range s.running {
 		snap.running[i] = jobSnap{ptr: j, val: *j}
 	}
-	snap.queue = make([]jobSnap, len(s.queue))
-	for i, j := range s.queue {
+	snap.queue = make([]jobSnap, s.QueueLen())
+	for i, j := range s.queue[s.head:] {
 		snap.queue[i] = jobSnap{ptr: j, val: *j}
 	}
 	for tag, cell := range s.busyByTag {
@@ -72,7 +72,8 @@ func (s *Server) Restore(snap *ServerState) {
 		*js.ptr = js.val
 		s.running = append(s.running, js.ptr)
 	}
-	s.queue = s.queue[:0]
+	clear(s.queue)
+	s.queue, s.head = s.queue[:0], 0
 	for _, js := range snap.queue {
 		*js.ptr = js.val
 		s.queue = append(s.queue, js.ptr)

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"sync"
 	"testing"
 	"time"
 
+	"servicefridge/internal/app"
 	"servicefridge/internal/cluster"
 	"servicefridge/internal/power"
 	"servicefridge/internal/workload"
@@ -197,5 +199,40 @@ func TestFridgeStaysNearBudgetOnAverage(t *testing.T) {
 	// The controller is reactive; allow a 10% average overshoot.
 	if float64(mean) > float64(cap)*1.10 {
 		t.Fatalf("mean draw %v far above cap %v", mean, cap)
+	}
+}
+
+// TestSharedSpecRunsConcurrently runs two engines at once on one Spec, as
+// parallel sweep cells do, and requires each to match its solo run. Under
+// -race it also proves the per-invocation path only reads the Spec: call
+// plans and service lists are all computed when the Spec is built.
+func TestSharedSpecRunsConcurrently(t *testing.T) {
+	spec := app.TwoRegionStudy()
+	cfgs := []Config{
+		quick(Config{Seed: 3, Spec: spec, Scheme: ServiceFridge, BudgetFraction: 0.8}),
+		quick(Config{Seed: 4, Spec: spec, Scheme: ServiceFridge, BudgetFraction: 0.7}),
+	}
+	type outcome struct {
+		completed uint64
+		digest    uint64
+	}
+	run := func(cfg Config) outcome {
+		res := mustRun(cfg)
+		return outcome{res.Executor.Completed(), res.stateDigest()}
+	}
+	got := make([]outcome, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = run(cfg)
+		}()
+	}
+	wg.Wait()
+	for i, cfg := range cfgs {
+		if want := run(cfg); got[i] != want || want.completed == 0 {
+			t.Fatalf("cell %d: concurrent run %+v, solo run %+v", i, got[i], want)
+		}
 	}
 }

@@ -31,7 +31,7 @@ type Container struct {
 }
 
 // Orchestrator tracks container placement for one cluster and implements
-// app.Placement (HostFor) for the request executor.
+// app.Placement (Route) for the request executor.
 type Orchestrator struct {
 	eng *sim.Engine
 	cl  *cluster.Cluster
@@ -45,8 +45,11 @@ type Orchestrator struct {
 
 	nextID     int
 	containers map[int]*Container
-	byService  map[string][]*Container
-	rr         map[string]int
+	// routes holds each service's instances and round-robin cursor. A
+	// route, once created, stays the map's value for the orchestrator's
+	// lifetime (Restore resets it in place): the executor resolves it once
+	// per service.
+	routes map[string]*route
 
 	migrations uint64
 	started    uint64
@@ -63,9 +66,25 @@ func New(cl *cluster.Cluster) *Orchestrator {
 		cl:           cl,
 		StartupDelay: 500 * time.Millisecond,
 		containers:   make(map[int]*Container),
-		byService:    make(map[string][]*Container),
-		rr:           make(map[string]int),
+		routes:       make(map[string]*route),
 	}
+}
+
+// route is one service's instance list, in placement order, and the
+// round-robin cursor into it.
+type route struct {
+	list []*Container
+	rr   int
+}
+
+// route returns service's route, creating an empty one on first use.
+func (o *Orchestrator) route(service string) *route {
+	r := o.routes[service]
+	if r == nil {
+		r = &route{}
+		o.routes[service] = r
+	}
+	return r
 }
 
 // Migrations returns the number of MoveService operations performed.
@@ -87,7 +106,8 @@ func (o *Orchestrator) Place(service string, node *cluster.Server, immediate boo
 	o.nextID++
 	c := &Container{ID: o.nextID, Service: service, Node: node, active: immediate}
 	o.containers[c.ID] = c
-	o.byService[service] = append(o.byService[service], c)
+	r := o.route(service)
+	r.list = append(r.list, c)
 	o.started++
 	if !immediate {
 		delay := o.StartupDelay
@@ -106,14 +126,13 @@ func (o *Orchestrator) Remove(c *Container) {
 		return
 	}
 	delete(o.containers, c.ID)
-	list := o.byService[c.Service]
-	for i, x := range list {
+	r := o.routes[c.Service]
+	for i, x := range r.list {
 		if x.ID == c.ID {
-			list = append(list[:i], list[i+1:]...)
+			r.list = append(r.list[:i], r.list[i+1:]...)
 			break
 		}
 	}
-	o.byService[c.Service] = list
 	o.stopped++
 }
 
@@ -153,7 +172,7 @@ func (o *Orchestrator) DeployPinned(service, node string) *Container {
 func (o *Orchestrator) NodesOf(service string) []*cluster.Server {
 	seen := map[string]bool{}
 	var out []*cluster.Server
-	for _, c := range o.byService[service] {
+	for _, c := range o.route(service).list {
 		if c.active && !seen[c.Node.Name()] {
 			seen[c.Node.Name()] = true
 			out = append(out, c.Node)
@@ -179,26 +198,29 @@ func (o *Orchestrator) ServicesOn(node *cluster.Server) []string {
 	return out
 }
 
-// HostFor implements app.Placement: it round-robins calls across the
-// service's active instances (swarm's mesh load balancing). Starting-up
-// instances receive no traffic; if nothing is active yet, the oldest
-// stopping/starting instance's node is used so traffic never black-holes
-// during migration.
-func (o *Orchestrator) HostFor(service string) *cluster.Server {
-	list := o.byService[service]
-	if len(list) == 0 {
+// Route implements app.Placement. The returned picker round-robins calls
+// across the service's active instances (swarm's mesh load balancing) and
+// returns nil while the service has none. Starting-up instances receive no
+// traffic; if nothing is active yet, the oldest stopping/starting
+// instance's node is used so traffic never black-holes during migration.
+func (o *Orchestrator) Route(service string) func() *cluster.Server {
+	return o.route(service).host
+}
+
+func (r *route) host() *cluster.Server {
+	n := len(r.list)
+	if n == 0 {
 		return nil
 	}
-	n := len(list)
-	start := o.rr[service]
+	start := r.rr
 	for k := 0; k < n; k++ {
-		c := list[(start+k)%n]
+		c := r.list[(start+k)%n]
 		if c.active {
-			o.rr[service] = (start + k + 1) % n
+			r.rr = (start + k + 1) % n
 			return c.Node
 		}
 	}
-	return list[0].Node
+	return r.list[0].Node
 }
 
 // MoveService migrates service so that its active instances end up exactly
@@ -215,7 +237,7 @@ func (o *Orchestrator) MoveService(service string, targets []*cluster.Server) {
 	}
 	var toKill []*Container
 	have := map[string]bool{}
-	for _, c := range o.byService[service] {
+	for _, c := range o.route(service).list {
 		if c.stopping {
 			continue
 		}

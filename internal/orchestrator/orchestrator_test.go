@@ -1,6 +1,7 @@
 package orchestrator
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ func TestHostForRoundRobinsAcrossInstances(t *testing.T) {
 	o.Place("svc", cl.Server("serverC2"), true)
 	seen := map[string]int{}
 	for i := 0; i < 10; i++ {
-		seen[o.HostFor("svc").Name()]++
+		seen[o.Route("svc")().Name()]++
 	}
 	if seen["serverC1"] != 5 || seen["serverC2"] != 5 {
 		t.Fatalf("load balance skewed: %v", seen)
@@ -48,7 +49,7 @@ func TestHostForRoundRobinsAcrossInstances(t *testing.T) {
 func TestHostForUnknownService(t *testing.T) {
 	_, cl := testCluster()
 	o := New(cl)
-	if o.HostFor("ghost") != nil {
+	if o.Route("ghost")() != nil {
 		t.Fatal("unknown service should have nil host")
 	}
 }
@@ -60,7 +61,7 @@ func TestPinnedDeployment(t *testing.T) {
 	if !c.active || c.Node.Name() != "serverB" {
 		t.Fatal("pinned container wrong")
 	}
-	if o.HostFor("observed").Name() != "serverB" {
+	if o.Route("observed")().Name() != "serverB" {
 		t.Fatal("pinned service should resolve to serverB")
 	}
 }
@@ -75,7 +76,7 @@ func TestStartupDelayGatesTraffic(t *testing.T) {
 	}
 	// Until activation every call goes to C1.
 	for i := 0; i < 4; i++ {
-		if o.HostFor("svc").Name() != "serverC1" {
+		if o.Route("svc")().Name() != "serverC1" {
 			t.Fatal("starting container received traffic")
 		}
 	}
@@ -85,7 +86,7 @@ func TestStartupDelayGatesTraffic(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for i := 0; i < 4; i++ {
-		seen[o.HostFor("svc").Name()] = true
+		seen[o.Route("svc")().Name()] = true
 	}
 	if !seen["serverC2"] {
 		t.Fatal("activated container gets no traffic")
@@ -99,18 +100,18 @@ func TestMoveServiceStartNewThenKillOld(t *testing.T) {
 	o.MoveService("svc", []*cluster.Server{cl.Server("serverC2")})
 
 	// During migration, traffic still flows to the old node.
-	if o.HostFor("svc").Name() != "serverC1" {
+	if o.Route("svc")().Name() != "serverC1" {
 		t.Fatal("traffic dropped during migration")
 	}
-	if len(o.byService["svc"]) != 2 {
-		t.Fatalf("instances during migration = %d, want 2", len(o.byService["svc"]))
+	if len(o.route("svc").list) != 2 {
+		t.Fatalf("instances during migration = %d, want 2", len(o.route("svc").list))
 	}
 	eng.RunFor(time.Second)
 	nodes := o.NodesOf("svc")
 	if len(nodes) != 1 || nodes[0].Name() != "serverC2" {
 		t.Fatalf("after migration on %v, want serverC2", nodes)
 	}
-	if len(o.byService["svc"]) != 1 {
+	if len(o.route("svc").list) != 1 {
 		t.Fatal("old instance not terminated")
 	}
 	if o.Migrations() != 1 {
@@ -126,7 +127,7 @@ func TestMoveServiceNoopWhenAlreadyPlaced(t *testing.T) {
 	if o.Migrations() != 0 {
 		t.Fatal("no-op move counted as migration")
 	}
-	if len(o.byService["svc"]) != 1 {
+	if len(o.route("svc").list) != 1 {
 		t.Fatal("no-op move changed instances")
 	}
 }
@@ -182,7 +183,7 @@ func TestRemoveIdempotent(t *testing.T) {
 	if o.Stopped() != 1 {
 		t.Fatalf("stopped = %d, want 1", o.Stopped())
 	}
-	if len(o.byService["svc"]) != 0 {
+	if len(o.route("svc").list) != 0 {
 		t.Fatal("instance list not emptied")
 	}
 }
@@ -197,7 +198,55 @@ func TestLifecycleCounters(t *testing.T) {
 	if o.Started() != 3 || o.Stopped() != 1 {
 		t.Fatalf("started/stopped = %d/%d, want 3/1", o.Started(), o.Stopped())
 	}
-	if got := len(o.byService); got != 2 {
+	if got := len(o.routes); got != 2 {
 		t.Fatalf("%d services, want 2", got)
+	}
+}
+
+// TestRouteSequenceAcrossMoveSnapshotRestore pins the round-robin host
+// sequence through placement, migration, snapshot and restore to the one
+// recorded from the string-keyed implementation the routes replaced. The
+// pickers are resolved once, before anything is placed, as the executor
+// resolves them.
+func TestRouteSequenceAcrossMoveSnapshotRestore(t *testing.T) {
+	eng, cl := testCluster()
+	o := New(cl)
+	pick, late := o.Route("svc"), o.Route("late")
+	var seq []string
+	draw := func(n int, p func() *cluster.Server) {
+		for i := 0; i < n; i++ {
+			if h := p(); h != nil {
+				seq = append(seq, strings.TrimPrefix(h.Name(), "server"))
+			} else {
+				seq = append(seq, "-")
+			}
+		}
+		seq = append(seq, "|")
+	}
+	draw(2, pick)
+	o.Place("svc", cl.Server("serverC1"), true)
+	o.Place("svc", cl.Server("serverC2"), true)
+	draw(3, pick)
+	o.MoveService("svc", []*cluster.Server{cl.Server("serverC2"), cl.Server("serverC3"), cl.Server("serverB")})
+	draw(4, pick)
+	snap := o.Snapshot()
+	eng.RunFor(time.Second)
+	draw(5, pick)
+	o.Place("late", cl.Server("serverA"), true)
+	draw(2, late)
+	o.MoveService("svc", []*cluster.Server{cl.Server("serverC1")})
+	draw(3, pick)
+	o.Restore(snap)
+	draw(5, pick)
+	draw(2, late)
+	eng.RunFor(time.Second)
+	draw(5, pick)
+	o.Restore(snap)
+	o.Place("svc", cl.Server("serverA"), true)
+	draw(6, pick)
+	const want = "- - | C1 C2 C1 | C2 C1 C2 C1 | C3 B C2 C3 B | A A | C2 C3 B | " +
+		"C2 C1 C2 C1 C2 | - - | C1 C1 C1 C1 C1 | C2 A C1 C2 A C1 |"
+	if got := strings.Join(seq, " "); got != want {
+		t.Fatalf("host sequence\n got %s\nwant %s", got, want)
 	}
 }

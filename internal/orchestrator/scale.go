@@ -23,7 +23,7 @@ func (o *Orchestrator) Scale(service string, n int, nodes []*cluster.Server) {
 		panic(fmt.Sprintf("orchestrator: Scale %q to %d replicas", service, n))
 	}
 	var live []*Container
-	for _, c := range o.byService[service] {
+	for _, c := range o.route(service).list {
 		if !c.stopping {
 			live = append(live, c)
 		}
@@ -64,7 +64,7 @@ func (o *Orchestrator) Scale(service string, n int, nodes []*cluster.Server) {
 // Replicas returns the number of non-stopping instances of service.
 func (o *Orchestrator) Replicas(service string) int {
 	n := 0
-	for _, c := range o.byService[service] {
+	for _, c := range o.route(service).list {
 		if !c.stopping {
 			n++
 		}
@@ -114,7 +114,7 @@ func (o *Orchestrator) Crash(c *Container) {
 // CrashOn crashes one container of service on the named node, if any, and
 // reports whether one was found.
 func (o *Orchestrator) CrashOn(service, node string) bool {
-	for _, c := range o.byService[service] {
+	for _, c := range o.route(service).list {
 		if !c.stopping && c.Node.Name() == node {
 			o.Crash(c)
 			return true

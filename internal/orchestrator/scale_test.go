@@ -106,7 +106,7 @@ func TestCrashSurvivorKeepsServing(t *testing.T) {
 	o.Place("svc", cl.Server("serverC2"), true)
 	o.Crash(c1)
 	for i := 0; i < 5; i++ {
-		host := o.HostFor("svc")
+		host := o.Route("svc")()
 		if host == nil || host.Name() != "serverC2" {
 			t.Fatalf("traffic not failing over: %v", host)
 		}
@@ -158,7 +158,7 @@ func TestHostForBalancesReplicasUnderScale(t *testing.T) {
 	eng.RunFor(time.Second)
 	seen := map[string]int{}
 	for i := 0; i < 9; i++ {
-		seen[o.HostFor("svc").Name()]++
+		seen[o.Route("svc")().Name()]++
 	}
 	for n, c := range seen {
 		if c != 3 {

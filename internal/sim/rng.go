@@ -153,8 +153,17 @@ func (r *RNG) LogNormal(mean, stddev float64) float64 {
 	if mean <= 0 {
 		return 0
 	}
+	mu, sigma := LogNormalParams(mean, stddev)
+	return math.Exp(r.Norm(mu, sigma))
+}
+
+// LogNormalParams returns the mean μ and standard deviation σ of the normal
+// underlying a log-normal with the given mean (> 0) and stddev: LogNormal
+// draws exp(Norm(μ, σ)). A caller drawing repeatedly from one distribution
+// computes the pair once and draws math.Exp(r.Norm(μ, σ)) itself, which
+// yields the same bits as LogNormal without two Logs and a Sqrt per draw.
+func LogNormalParams(mean, stddev float64) (mu, sigma float64) {
 	cv2 := (stddev / mean) * (stddev / mean)
 	sigma2 := math.Log(1 + cv2)
-	mu := math.Log(mean) - sigma2/2
-	return math.Exp(r.Norm(mu, math.Sqrt(sigma2)))
+	return math.Log(mean) - sigma2/2, math.Sqrt(sigma2)
 }

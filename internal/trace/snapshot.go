@@ -14,12 +14,11 @@ import (
 // pool are mutated in place after the snapshot, so those are deep-copied.
 type CollectorState struct {
 	nextID uint64
-	open   int
 
-	traces        []*Trace
-	execByService map[string][]time.Duration
-	all           seriesState
-	byRegion      map[string]regionSeriesState
+	traces   []*Trace
+	tallies  []tally
+	all      seriesState
+	byRegion map[string]regionSeriesState
 
 	slab     []Trace
 	spanPool [][]Span
@@ -56,18 +55,14 @@ func restoreSeries(s *series, st seriesState) {
 // Snapshot captures the collector's state.
 func (c *Collector) Snapshot() *CollectorState {
 	st := &CollectorState{
-		nextID:        c.nextID,
-		open:          c.open,
-		traces:        c.traces,
-		execByService: make(map[string][]time.Duration, len(c.execByService)),
-		all:           captureSeries(&c.all),
-		byRegion:      make(map[string]regionSeriesState, len(c.byRegion)),
-		slab:          c.slab,
-		spanPool:      append([][]Span(nil), c.spanPool...),
-		openSnap:      make([]openTraceSnap, len(c.openList)),
-	}
-	for svc, xs := range c.execByService {
-		st.execByService[svc] = xs
+		nextID:   c.nextID,
+		traces:   c.traces,
+		tallies:  append([]tally(nil), c.tallies...),
+		all:      captureSeries(&c.all),
+		byRegion: make(map[string]regionSeriesState, len(c.byRegion)),
+		slab:     c.slab,
+		spanPool: append([][]Span(nil), c.spanPool...),
+		openSnap: make([]openTraceSnap, len(c.openList)),
 	}
 	for region, rs := range c.byRegion {
 		st.byRegion[region] = regionSeriesState{ptr: rs, val: captureSeries(rs)}
@@ -88,15 +83,11 @@ func (c *Collector) Snapshot() *CollectorState {
 // been recycled through the span pool.
 func (c *Collector) Restore(st *CollectorState) {
 	c.nextID = st.nextID
-	c.open = st.open
 	c.traces = st.traces
-	for svc := range c.execByService {
-		if _, ok := st.execByService[svc]; !ok {
-			delete(c.execByService, svc)
-		}
-	}
-	for svc, xs := range st.execByService {
-		c.execByService[svc] = xs
+	c.tallies = append(c.tallies[:0], st.tallies...)
+	clear(c.tallyOf)
+	for i, tl := range c.tallies {
+		c.tallyOf[tl.service] = i
 	}
 	restoreSeries(&c.all, st.all)
 	// Per-region series objects are reset in place, never deleted: like
@@ -122,6 +113,7 @@ func (c *Collector) Restore(st *CollectorState) {
 		o := &st.openSnap[i]
 		*o.ptr = o.val
 		o.ptr.Spans = append([]Span(nil), o.spans...)
+		o.ptr.openIdx = i
 		c.openList = append(c.openList, o.ptr)
 	}
 }

@@ -16,6 +16,11 @@ import (
 type Span struct {
 	// Service is the invoked microservice.
 	Service string
+	// ServiceID is Service's dense index: its position in the names the
+	// collector was presized with. The collector finds the service's
+	// tally by it without hashing the name, and falls back to the name
+	// when the index names another service.
+	ServiceID int
 	// Host is the server the invocation ran on.
 	Host string
 	// Submit is when the call was dispatched (enters the host queue).
@@ -51,6 +56,8 @@ type Trace struct {
 	// Spans lists every invocation, in dispatch order.
 	Spans []Span
 	done  bool
+	// openIdx is the trace's index in Collector.openList while open.
+	openIdx int
 }
 
 // Response returns the request's end-to-end response time.
@@ -114,7 +121,6 @@ const traceSlabSize = 256
 // every span list per query.
 type Collector struct {
 	nextID uint64
-	open   int
 	traces []*Trace
 	// KeepSpans controls whether span lists are retained on completed
 	// traces. Long experiments that only need response times can disable
@@ -122,7 +128,10 @@ type Collector struct {
 	// across traces, making steady-state span recording allocation-free.
 	KeepSpans bool
 
-	execByService map[string][]time.Duration
+	// tallies holds each service's recorded execution times, in
+	// registration order (Presize first); tallyOf indexes them by name.
+	tallies []tally
+	tallyOf map[string]int
 
 	all      series
 	byRegion map[string]*series
@@ -139,37 +148,54 @@ type Collector struct {
 	slab     []Trace
 	spanPool [][]Span
 
-	// openList tracks the open traces in start order so a snapshot can
-	// enumerate (and a restore rewind) in-flight requests. Traces finish
-	// roughly in start order, so the removal scan stays near the front.
+	// openList holds the open traces, in no particular order, so a
+	// snapshot can enumerate (and a restore rewind) in-flight requests.
+	// Each trace knows its index, so FinishTrace swap-removes in O(1).
 	openList []*Trace
 }
 
 // NewCollector returns an empty collector that retains spans.
 func NewCollector() *Collector {
 	return &Collector{
-		KeepSpans:     true,
-		execByService: make(map[string][]time.Duration),
-		byRegion:      make(map[string]*series),
+		KeepSpans: true,
+		tallyOf:   make(map[string]int),
+		byRegion:  make(map[string]*series),
 	}
 }
 
-// Presize primes the per-service execution tallies for the given services
-// (reserving spansPerService capacity each, if positive) so the map never
-// rehashes and early appends never reallocate on the hot path.
+// tally is one service's execution times in recording order.
+type tally struct {
+	service string
+	exec    []time.Duration
+}
+
+// Presize registers the per-service execution tallies for the given
+// services in order, so on a fresh collector services[i] is found by
+// Span.ServiceID i, and reserves spansPerService capacity each (if
+// positive) so early appends never reallocate on the hot path.
 func (c *Collector) Presize(services []string, spansPerService int) {
-	if c.execByService == nil {
-		c.execByService = make(map[string][]time.Duration, len(services))
-	}
 	for _, s := range services {
-		if _, ok := c.execByService[s]; !ok {
+		if _, ok := c.tallyOf[s]; !ok {
+			c.tallyOf[s] = len(c.tallies)
+			c.tallies = append(c.tallies, tally{service: s})
 			if spansPerService > 0 {
-				c.execByService[s] = make([]time.Duration, 0, spansPerService)
-			} else {
-				c.execByService[s] = nil
+				c.tallies[len(c.tallies)-1].exec = make([]time.Duration, 0, spansPerService)
 			}
 		}
 	}
+}
+
+// tallyFor returns service's tally, by id when it names service.
+func (c *Collector) tallyFor(service string, id int) *tally {
+	if uint(id) < uint(len(c.tallies)) && c.tallies[id].service == service {
+		return &c.tallies[id]
+	}
+	i, ok := c.tallyOf[service]
+	if !ok {
+		c.Presize([]string{service}, 0)
+		i = len(c.tallies) - 1
+	}
+	return &c.tallies[i]
 }
 
 // Grow pre-allocates storage for about nTraces completed traces, so a run
@@ -213,11 +239,11 @@ func (c *Collector) allocTrace() *Trace {
 // StartTrace opens a trace for a request entering region at time at.
 func (c *Collector) StartTrace(region string, at sim.Time) *Trace {
 	c.nextID++
-	c.open++
 	t := c.allocTrace()
 	t.ID = c.nextID
 	t.Region = region
 	t.Begin = at
+	t.openIdx = len(c.openList)
 	c.openList = append(c.openList, t)
 	if !c.KeepSpans {
 		if n := len(c.spanPool); n > 0 {
@@ -236,7 +262,8 @@ func (c *Collector) AddSpan(t *Trace, s Span) {
 		panic("trace: AddSpan on a finished trace")
 	}
 	t.Spans = append(t.Spans, s)
-	c.execByService[s.Service] = append(c.execByService[s.Service], s.Exec())
+	tl := c.tallyFor(s.Service, s.ServiceID)
+	tl.exec = append(tl.exec, s.Exec())
 	if c.OnSpan != nil {
 		c.OnSpan(s)
 	}
@@ -249,15 +276,12 @@ func (c *Collector) FinishTrace(t *Trace, at sim.Time) {
 	}
 	t.Finish = at
 	t.done = true
-	c.open--
-	for i, o := range c.openList {
-		if o == t {
-			copy(c.openList[i:], c.openList[i+1:])
-			c.openList[len(c.openList)-1] = nil
-			c.openList = c.openList[:len(c.openList)-1]
-			break
-		}
-	}
+	n := len(c.openList) - 1
+	last := c.openList[n]
+	c.openList[t.openIdx] = last
+	last.openIdx = t.openIdx
+	c.openList[n] = nil
+	c.openList = c.openList[:n]
 	if !c.KeepSpans {
 		if cap(t.Spans) > 0 {
 			c.spanPool = append(c.spanPool, t.Spans[:0])
@@ -282,7 +306,7 @@ func (c *Collector) FinishTrace(t *Trace, at sim.Time) {
 func (c *Collector) Traces() []*Trace { return c.traces }
 
 // Open returns the number of traces started but not finished.
-func (c *Collector) Open() int { return c.open }
+func (c *Collector) Open() int { return len(c.openList) }
 
 // Count returns the number of completed traces, optionally filtered by
 // region ("" matches all).
@@ -311,7 +335,10 @@ func (c *Collector) ResponseAfter(region string, cut sim.Time) []time.Duration {
 // ServiceExecTimes returns every recorded execution time for service,
 // across all traces, in recording order.
 func (c *Collector) ServiceExecTimes(service string) []time.Duration {
-	return c.execByService[service]
+	if i, ok := c.tallyOf[service]; ok {
+		return c.tallies[i].exec
+	}
+	return nil
 }
 
 // MeanCallTimes returns the average number of invocations of service per

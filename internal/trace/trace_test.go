@@ -118,3 +118,55 @@ func TestAddSpanAfterFinishPanics(t *testing.T) {
 	}()
 	c.AddSpan(tr, Span{Service: "s"})
 }
+
+// TestFinishOutOfOrderKeepsOpenSet finishes traces out of start order
+// around a snapshot: the open set stays exact, and a restore brings back
+// exactly the traces open at the snapshot, each finishable once.
+func TestFinishOutOfOrderKeepsOpenSet(t *testing.T) {
+	c := NewCollector()
+	var trs []*Trace
+	for i := 0; i < 5; i++ {
+		trs = append(trs, c.StartTrace("A", ms(i)))
+	}
+	c.FinishTrace(trs[2], ms(10))
+	c.FinishTrace(trs[0], ms(11))
+	if c.Open() != 3 {
+		t.Fatalf("open = %d, want 3", c.Open())
+	}
+	snap := c.Snapshot()
+	c.FinishTrace(trs[4], ms(12))
+	c.FinishTrace(trs[1], ms(13))
+	c.FinishTrace(trs[3], ms(14))
+	c.Restore(snap)
+	if c.Open() != 3 || c.Count("") != 2 {
+		t.Fatalf("restored open/done = %d/%d, want 3/2", c.Open(), c.Count(""))
+	}
+	for _, i := range []int{3, 1, 4} {
+		c.FinishTrace(trs[i], ms(20))
+	}
+	if c.Open() != 0 || c.Count("") != 5 {
+		t.Fatalf("open/done = %d/%d, want 0/5", c.Open(), c.Count(""))
+	}
+	if got := trs[1].Response(); got != 19*time.Millisecond {
+		t.Fatalf("response = %v, want 19ms", got)
+	}
+}
+
+// TestServiceIDFallsBackToName: a span whose ServiceID names another
+// service, or no presized service, is tallied under its own name.
+func TestServiceIDFallsBackToName(t *testing.T) {
+	c := NewCollector()
+	c.Presize([]string{"x", "y"}, 0)
+	tr := c.StartTrace("A", 0)
+	for _, s := range []struct {
+		svc string
+		id  int
+	}{{"x", 0}, {"y", 1}, {"y", 0}, {"x", 7}, {"z", 0}, {"z", 2}, {"y", -1}} {
+		c.AddSpan(tr, Span{Service: s.svc, ServiceID: s.id, End: ms(1)})
+	}
+	for svc, want := range map[string]int{"x": 2, "y": 3, "z": 2} {
+		if got := len(c.ServiceExecTimes(svc)); got != want {
+			t.Fatalf("%s: %d exec times, want %d", svc, got, want)
+		}
+	}
+}
