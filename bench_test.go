@@ -297,6 +297,26 @@ func BenchmarkEngineCalendar(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineFIFOLane measures a ScheduleFIFO+Step cycle with a fixed
+// delay — the executor's network hop — against 512 standing lane events
+// and a standing heap whose top Step compares with the lane head.
+// Steady state is allocation-free (gated via bench_gates.json).
+func BenchmarkEngineFIFOLane(b *testing.B) {
+	b.ReportAllocs()
+	eng := sim.NewEngine(1)
+	fn := sim.Handler(func() {})
+	eng.Grow(512)
+	for i := 0; i < 512; i++ {
+		eng.Schedule(time.Hour+time.Duration(i), fn)
+		eng.ScheduleFIFO(100*time.Microsecond, fn)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.ScheduleFIFO(100*time.Microsecond, fn)
+		eng.Step()
+	}
+}
+
 // BenchmarkEngineTimerChurn measures the cancellable-timer cycle: arm,
 // cancel, and reclaim-at-pop through the generation-counter slot table.
 func BenchmarkEngineTimerChurn(b *testing.B) {
@@ -313,17 +333,12 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 }
 
 // benchCollector returns a collector warmed to its allocation-free steady
-// state: tallies presized, stores pre-grown, and a span backing array
-// recycled through the pool.
+// state: KeepSpans off, so spans store nothing, and the region's
+// finish-ordered stores and the Trace slab pre-grown for extra traces.
 func benchCollector(extra int) *trace.Collector {
 	col := trace.NewCollector()
 	col.KeepSpans = false
-	col.Presize([]string{"svc"}, 1<<22)
-	warm := col.StartTrace("A", 0)
-	for i := 0; i < 4096; i++ {
-		col.AddSpan(warm, trace.Span{Service: "svc", Host: "h", Submit: sim.Time(i), Start: sim.Time(i), End: sim.Time(i + 1)})
-	}
-	col.FinishTrace(warm, 5000)
+	col.FinishTrace(col.StartTrace("A", 0), 5000) // creates region A's store
 	col.Grow(extra)
 	return col
 }

@@ -209,7 +209,9 @@ func (x *Executor) invoke(req *request, cr *callRun, tr *trace.Trace, plan *call
 	inv.req, inv.cr, inv.tr = req, cr, tr
 	inv.plan, inv.demand = plan, demand
 	if x.NetDelay > 0 {
-		x.eng.Schedule(x.NetDelay, inv.submitFn)
+		// Every hop has the same delay, so hops land in the order they
+		// are scheduled: the calendar's FIFO lane holds them all.
+		x.eng.ScheduleFIFO(x.NetDelay, inv.submitFn)
 	} else {
 		inv.submit()
 	}

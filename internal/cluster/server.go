@@ -60,10 +60,11 @@ type Job struct {
 	factor    float64       // current slowdown factor
 	since     sim.Time      // when remaining was last recomputed
 	timer     sim.Timer
-	running   bool
 	// busyCell caches the server's per-tag busy accumulator for this job's
-	// Tag, so accruing busy time never hashes the tag string.
-	busyCell *time.Duration
+	// Tag, so accruing busy time never hashes the tag string; busySince is
+	// when the job's core time was last folded into it and busyTotal.
+	busyCell  *time.Duration
+	busySince sim.Time
 	// srv is the server the job last started on; fire, bound once per Job
 	// object, completes the job there, so scheduling a completion
 	// allocates no closure.
@@ -109,13 +110,13 @@ type Server struct {
 	queue []*Job
 	head  int
 
-	// busy accounting: cumulative core-busy time, total and per tag. The
-	// per-tag accumulators are boxed so jobs can cache a pointer to their
-	// tag's cell (Job.busyCell); a box, once created, is never replaced.
-	busyTotal  time.Duration
-	busyByTag  map[string]*time.Duration
-	busyByID   []busyBox // busyByTag's boxes indexed by the first Job.TagID seen with each tag
-	lastUpdate sim.Time
+	// busy accounting: cumulative core-busy time, total and per tag, of
+	// completed jobs plus running jobs up to their busySince. The per-tag
+	// accumulators are boxed so jobs can cache a pointer to their tag's
+	// cell (Job.busyCell); a box, once created, is never replaced.
+	busyTotal time.Duration
+	busyByTag map[string]*time.Duration
+	busyByID  []busyBox // busyByTag's boxes indexed by the first Job.TagID seen with each tag
 
 	// completedJobs counts jobs fully served, for tests and reports.
 	completedJobs uint64
@@ -168,18 +169,23 @@ func (s *Server) Completed() uint64 { return s.completedJobs }
 // FreqChanges returns how many DVFS transitions this server has performed.
 func (s *Server) FreqChanges() uint64 { return s.freqChanges }
 
-// accrueBusy folds elapsed busy-core time into the counters. Must be called
-// before any change to the running set or a sample of the counters.
+// accrueBusy folds the running jobs' busy time up to now into the
+// counters. Completed jobs fold their own time in (see complete), so only
+// the readers of the counters call this. The sums are integer
+// nanoseconds: how the time is split between folds never changes them.
 func (s *Server) accrueBusy() {
 	now := s.eng.Now()
-	if now > s.lastUpdate && len(s.running) > 0 {
-		dt := now.Sub(s.lastUpdate)
-		s.busyTotal += dt * time.Duration(len(s.running))
-		for _, j := range s.running {
-			*j.busyCell += dt
-		}
+	for _, j := range s.running {
+		s.foldBusy(j, now)
 	}
-	s.lastUpdate = now
+}
+
+// foldBusy adds j's busy time since busySince to its tag and the total.
+func (s *Server) foldBusy(j *Job, now sim.Time) {
+	dt := now.Sub(j.busySince)
+	*j.busyCell += dt
+	s.busyTotal += dt
+	j.busySince = now
 }
 
 // BusyCoreTime returns cumulative core-busy time since the run started.
@@ -227,11 +233,10 @@ func (s *Server) Submit(j *Job) {
 }
 
 func (s *Server) start(j *Job) {
-	s.accrueBusy()
 	j.remaining = j.Demand
 	j.factor = j.slowdownAt(s.freq)
 	j.since = s.eng.Now()
-	j.running = true
+	j.busySince = j.since
 	j.srv = s
 	j.busyCell = s.busyCellFor(j)
 	s.running = append(s.running, j)
@@ -273,7 +278,7 @@ func (s *Server) scheduleCompletion(j *Job) {
 }
 
 func (s *Server) complete(j *Job) {
-	s.accrueBusy()
+	s.foldBusy(j, s.eng.Now())
 	for i, r := range s.running {
 		if r == j {
 			copy(s.running[i:], s.running[i+1:])
@@ -282,7 +287,6 @@ func (s *Server) complete(j *Job) {
 			break
 		}
 	}
-	j.running = false
 	j.remaining = 0
 	s.completedJobs++
 	// Start the next queued job before the completion callback so that
@@ -312,7 +316,6 @@ func (s *Server) SetFreq(f GHz) {
 	if f == s.freq {
 		return
 	}
-	s.accrueBusy()
 	now := s.eng.Now()
 	for _, j := range s.running {
 		// Work completed since the last reschedule, in unscaled units.

@@ -246,6 +246,31 @@ func TestBusyAccountingAcrossDVFS(t *testing.T) {
 	}
 }
 
+// TestBusyAccountingAcrossRestore reads the busy counters while a job
+// runs, before and after a snapshot, then restores: the restored job
+// resumes its accounting from the snapshot, so the run totals the job's
+// whole service time exactly once.
+func TestBusyAccountingAcrossRestore(t *testing.T) {
+	eng := sim.NewEngine(1)
+	s := NewServer(eng, "n1", RoleNormalWorker, 1)
+	s.Submit(&Job{Tag: "a", Demand: 10 * time.Millisecond})
+	eng.RunFor(3 * time.Millisecond)
+	if got := s.BusyCoreTime(); got != 3*time.Millisecond {
+		t.Fatalf("busy at 3ms = %v", got)
+	}
+	engSnap, srvSnap := eng.Snapshot(), s.Snapshot()
+	eng.RunFor(4 * time.Millisecond)
+	if got := s.BusyCoreTimeByTag("a"); got != 7*time.Millisecond {
+		t.Fatalf("busy[a] at 7ms = %v", got)
+	}
+	eng.Restore(engSnap)
+	s.Restore(srvSnap)
+	eng.Run()
+	if got, tag := s.BusyCoreTime(), s.BusyCoreTimeByTag("a"); got != 10*time.Millisecond || tag != got {
+		t.Fatalf("busy after restore = %v total, %v for a; want 10ms both", got, tag)
+	}
+}
+
 func TestUtilizationHelper(t *testing.T) {
 	u := Utilization(30*time.Millisecond, 2, 30*time.Millisecond)
 	if math.Abs(u-0.5) > 1e-9 {

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"time"
-
-	"servicefridge/internal/sim"
-)
+import "time"
 
 // jobSnap pairs a live Job pointer with a full value copy of its state at
 // snapshot time. Restore writes the value back through the pointer: the
@@ -23,7 +19,6 @@ type ServerState struct {
 	queue         []jobSnap
 	busyTotal     time.Duration
 	busyByTag     map[string]time.Duration
-	lastUpdate    sim.Time
 	completedJobs uint64
 	freqChanges   uint64
 }
@@ -37,7 +32,6 @@ func (s *Server) Snapshot() *ServerState {
 		maxFreq:       s.maxFreq,
 		busyTotal:     s.busyTotal,
 		busyByTag:     make(map[string]time.Duration, len(s.busyByTag)),
-		lastUpdate:    s.lastUpdate,
 		completedJobs: s.completedJobs,
 		freqChanges:   s.freqChanges,
 	}
@@ -64,7 +58,6 @@ func (s *Server) Restore(snap *ServerState) {
 	s.freq = snap.freq
 	s.maxFreq = snap.maxFreq
 	s.busyTotal = snap.busyTotal
-	s.lastUpdate = snap.lastUpdate
 	s.completedJobs = snap.completedJobs
 	s.freqChanges = snap.freqChanges
 	s.running = s.running[:0]

@@ -111,8 +111,9 @@ type Config struct {
 	// FixedFreqs sets per-node frequencies once at t=0 (used with
 	// Baseline for the frequency-isolation studies of Figures 5-6).
 	FixedFreqs map[string]cluster.GHz
-	// KeepSpans retains full span lists on traces (memory-heavy; only
-	// per-service analyses need it).
+	// KeepSpans retains full span lists on traces and per-service exec
+	// times (memory-heavy; only per-service analyses need it). Without
+	// it the collector records no span, though telemetry still sees each.
 	KeepSpans bool
 	// TrackFreqOf records the host frequency of these services at every
 	// meter interval (Figure 13's frequency traces).

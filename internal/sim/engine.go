@@ -67,11 +67,19 @@ type timerState struct {
 // halves the tree depth of a binary heap, trading a few extra comparisons
 // per level for fewer cache-missing levels — the right trade for the
 // millions of push/pop cycles a full experiment registry performs.
+//
+// Beside the heap sits a FIFO lane (see ScheduleFIFO): events appended in
+// non-decreasing time order pop from its head in O(1), and Step takes the
+// earlier of the heap top and the lane head, so the execution order is the
+// one a heap holding every event would give.
 type Engine struct {
 	now    Time
 	seq    uint64
 	events []event
-	rng    *RNG
+	// lane[laneHead:] is the FIFO lane, sorted by (at, seq) by construction.
+	lane     []event
+	laneHead int
+	rng      *RNG
 	// processed counts executed events, exposed for tests and for guarding
 	// against runaway feedback loops in controllers.
 	processed uint64
@@ -128,6 +136,30 @@ func (e *Engine) Schedule(delay time.Duration, fn Handler) {
 		panic(fmt.Sprintf("sim: Schedule with negative delay %v at t=%v", delay, e.now))
 	}
 	e.push(e.now.Add(delay), fn, 0)
+}
+
+// ScheduleFIFO runs fn after delay, like Schedule, through the calendar's
+// FIFO lane: when now+delay is no earlier than the lane's last event the
+// event is appended there (seq only grows, so the lane stays sorted), and
+// otherwise it goes to the heap. Either way it runs exactly when Schedule
+// would have run it. Callers whose delays are one fixed value — a network
+// hop — keep every event on the lane and never pay a heap push or pop.
+func (e *Engine) ScheduleFIFO(delay time.Duration, fn Handler) {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: ScheduleFIFO with negative delay %v at t=%v", delay, e.now))
+	}
+	at := e.now.Add(delay)
+	if n := len(e.lane); n > e.laneHead && at < e.lane[n-1].at {
+		e.push(at, fn, 0)
+		return
+	}
+	if e.laneHead > 0 && len(e.lane) == cap(e.lane) {
+		n := copy(e.lane, e.lane[e.laneHead:])
+		clear(e.lane[n:])
+		e.lane, e.laneHead = e.lane[:n], 0
+	}
+	e.lane = append(e.lane, event{at: at, seq: e.seq, fn: fn})
+	e.seq++
 }
 
 // ScheduleAt runs fn at absolute simulation time at, which must not be in
@@ -278,11 +310,40 @@ func (e *Engine) siftDown(ev event) {
 	e.events[i] = ev
 }
 
+// laneFirst reports whether the next event is the lane head rather than
+// the heap top. Only valid when the calendar is not empty.
+func (e *Engine) laneFirst() bool {
+	return e.laneHead < len(e.lane) && (len(e.events) == 0 || e.lane[e.laneHead].before(e.events[0]))
+}
+
+// nextAt returns the time of the earliest event. Only valid when the
+// calendar is not empty.
+func (e *Engine) nextAt() Time {
+	if e.laneFirst() {
+		return e.lane[e.laneHead].at
+	}
+	return e.events[0].at
+}
+
+// popNext removes and returns the earliest event of heap and lane.
+func (e *Engine) popNext() event {
+	if !e.laneFirst() {
+		return e.popMin()
+	}
+	ev := e.lane[e.laneHead]
+	e.lane[e.laneHead] = event{} // release the Handler so the GC can reclaim it
+	e.laneHead++
+	if e.laneHead == len(e.lane) {
+		e.lane, e.laneHead = e.lane[:0], 0
+	}
+	return ev
+}
+
 // Step executes the single next event. It returns false when the calendar
 // is empty.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := e.popMin()
+	for e.Pending() > 0 {
+		ev := e.popNext()
 		if ev.timer != 0 {
 			slot := ev.timer - 1
 			st := &e.timers[slot]
@@ -320,7 +381,7 @@ func (e *Engine) Run() {
 // queued, so a run can be resumed.
 func (e *Engine) RunUntil(deadline Time) {
 	e.prof.Enter(prof.Dispatch)
-	for len(e.events) > 0 && e.events[0].at <= deadline {
+	for e.Pending() > 0 && e.nextAt() <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {
@@ -333,5 +394,5 @@ func (e *Engine) RunUntil(deadline Time) {
 func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 
 // Pending reports how many events (including cancelled placeholders) remain
-// in the calendar.
-func (e *Engine) Pending() int { return len(e.events) }
+// in the calendar, heap and lane together.
+func (e *Engine) Pending() int { return len(e.events) + len(e.lane) - e.laneHead }

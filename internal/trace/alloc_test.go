@@ -11,22 +11,12 @@ func span(svc string, at sim.Time) Span {
 	return Span{Service: svc, Host: "h0", Submit: at, Start: at, End: at.Add(time.Millisecond)}
 }
 
-// TestAddSpanZeroAllocs pins the hot-path claim from the redesign: with the
-// per-service tallies presized and a recycled span backing array, recording
-// a span is allocation-free.
+// TestAddSpanZeroAllocs pins the hot-path claim: with KeepSpans off the
+// collector stores nothing per span, so recording one is allocation-free.
 func TestAddSpanZeroAllocs(t *testing.T) {
 	c := NewCollector()
 	c.KeepSpans = false
-	c.Presize([]string{"svc"}, 16384)
 	c.Grow(16)
-
-	// Warm a large span backing array through the pool: finish a fat trace
-	// so its backing is recycled into the next StartTrace.
-	warm := c.StartTrace("A", 0)
-	for i := 0; i < 4096; i++ {
-		c.AddSpan(warm, span("svc", sim.Time(i)))
-	}
-	c.FinishTrace(warm, 5000)
 
 	tr := c.StartTrace("A", 6000)
 	at := sim.Time(6000)
@@ -41,16 +31,15 @@ func TestAddSpanZeroAllocs(t *testing.T) {
 }
 
 // TestTraceLifecycleZeroAllocs covers the whole per-request cycle —
-// StartTrace, AddSpan, FinishTrace — at steady state: the Trace slab,
-// span pool, finish-ordered stores and tallies are all pre-grown, so an
-// entire simulated request costs zero collector allocations.
+// StartTrace, AddSpan, FinishTrace — at steady state with KeepSpans off:
+// the Trace slab and finish-ordered stores are pre-grown and spans store
+// nothing, so an entire simulated request costs zero collector allocations.
 func TestTraceLifecycleZeroAllocs(t *testing.T) {
 	c := NewCollector()
 	c.KeepSpans = false
-	c.Presize([]string{"svc"}, 16384)
 
-	// One warm-up cycle creates the region series and seeds the span pool,
-	// then Grow pre-fills every store including the Trace slab.
+	// One warm-up cycle creates the region series, then Grow pre-fills
+	// every store including the Trace slab.
 	warm := c.StartTrace("A", 0)
 	c.AddSpan(warm, span("svc", 0))
 	c.AddSpan(warm, span("svc", 1))

@@ -10,8 +10,8 @@ import (
 // (traces, finish-ordered series, per-service tallies) are append-only and
 // their recorded prefixes are never mutated, so the snapshot keeps slice
 // HEADERS and restore truncates by assigning them back — safe even if a
-// later append reallocated the backing array. Open traces and the span
-// pool are mutated in place after the snapshot, so those are deep-copied.
+// later append reallocated the backing array. Open traces are mutated in
+// place after the snapshot, so those are deep-copied.
 type CollectorState struct {
 	nextID uint64
 
@@ -21,7 +21,6 @@ type CollectorState struct {
 	byRegion map[string]regionSeriesState
 
 	slab     []Trace
-	spanPool [][]Span
 	openSnap []openTraceSnap
 }
 
@@ -39,7 +38,7 @@ type regionSeriesState struct {
 type openTraceSnap struct {
 	ptr   *Trace
 	val   Trace
-	spans []Span // deep copy: span arrays are recycled when !KeepSpans
+	spans []Span // deep copy, so no run resumed from the snapshot shares it
 }
 
 func captureSeries(s *series) seriesState {
@@ -61,7 +60,6 @@ func (c *Collector) Snapshot() *CollectorState {
 		all:      captureSeries(&c.all),
 		byRegion: make(map[string]regionSeriesState, len(c.byRegion)),
 		slab:     c.slab,
-		spanPool: append([][]Span(nil), c.spanPool...),
 		openSnap: make([]openTraceSnap, len(c.openList)),
 	}
 	for region, rs := range c.byRegion {
@@ -79,8 +77,8 @@ func (c *Collector) Snapshot() *CollectorState {
 
 // Restore rewinds the collector. The snapshot-era tail of the trace slab is
 // re-zeroed (traces handed out after the snapshot wrote into it), and each
-// open trace gets a fresh span array — its original backing may since have
-// been recycled through the span pool.
+// open trace gets a fresh span array, so a resumed run's appends never
+// overwrite spans of a trace an earlier resume completed.
 func (c *Collector) Restore(st *CollectorState) {
 	c.nextID = st.nextID
 	c.traces = st.traces
@@ -107,7 +105,6 @@ func (c *Collector) Restore(st *CollectorState) {
 		st.slab[i] = Trace{}
 	}
 	c.slab = st.slab
-	c.spanPool = append(c.spanPool[:0], st.spanPool...)
 	c.openList = c.openList[:0]
 	for i := range st.openSnap {
 		o := &st.openSnap[i]

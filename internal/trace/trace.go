@@ -53,7 +53,8 @@ type Trace struct {
 	Region string
 	// Begin and Finish bracket the request end to end.
 	Begin, Finish sim.Time
-	// Spans lists every invocation, in dispatch order.
+	// Spans lists every invocation, in recording order, when the collector
+	// keeps spans; otherwise it stays empty.
 	Spans []Span
 	done  bool
 	// openIdx is the trace's index in Collector.openList while open.
@@ -122,10 +123,10 @@ const traceSlabSize = 256
 type Collector struct {
 	nextID uint64
 	traces []*Trace
-	// KeepSpans controls whether span lists are retained on completed
-	// traces. Long experiments that only need response times can disable
-	// it to bound memory; the collector then recycles span backing arrays
-	// across traces, making steady-state span recording allocation-free.
+	// KeepSpans controls whether spans are recorded at all: span lists on
+	// traces and the per-service execution tallies. Long experiments that
+	// only need response times disable it, and AddSpan then stores nothing
+	// (the OnSpan tap still fires), so span recording allocates nothing.
 	KeepSpans bool
 
 	// tallies holds each service's recorded execution times, in
@@ -143,10 +144,8 @@ type Collector struct {
 	OnSpan   func(s Span)
 	OnFinish func(region string, resp time.Duration)
 
-	// slab batches Trace allocations; spanPool recycles span backing
-	// arrays of finished traces when KeepSpans is off.
-	slab     []Trace
-	spanPool [][]Span
+	// slab batches Trace allocations.
+	slab []Trace
 
 	// openList holds the open traces, in no particular order, so a
 	// snapshot can enumerate (and a restore rewind) in-flight requests.
@@ -245,25 +244,21 @@ func (c *Collector) StartTrace(region string, at sim.Time) *Trace {
 	t.Begin = at
 	t.openIdx = len(c.openList)
 	c.openList = append(c.openList, t)
-	if !c.KeepSpans {
-		if n := len(c.spanPool); n > 0 {
-			t.Spans = c.spanPool[n-1]
-			c.spanPool[n-1] = nil
-			c.spanPool = c.spanPool[:n-1]
-		}
-	}
 	return t
 }
 
-// AddSpan appends a completed span to an open trace and feeds the
-// per-service tallies.
+// AddSpan records a completed span of an open trace: with KeepSpans it
+// appends the span to the trace and its exec time to the service's tally,
+// and without it records nothing. The OnSpan tap fires either way.
 func (c *Collector) AddSpan(t *Trace, s Span) {
 	if t.done {
 		panic("trace: AddSpan on a finished trace")
 	}
-	t.Spans = append(t.Spans, s)
-	tl := c.tallyFor(s.Service, s.ServiceID)
-	tl.exec = append(tl.exec, s.Exec())
+	if c.KeepSpans {
+		t.Spans = append(t.Spans, s)
+		tl := c.tallyFor(s.Service, s.ServiceID)
+		tl.exec = append(tl.exec, s.Exec())
+	}
 	if c.OnSpan != nil {
 		c.OnSpan(s)
 	}
@@ -282,12 +277,6 @@ func (c *Collector) FinishTrace(t *Trace, at sim.Time) {
 	last.openIdx = t.openIdx
 	c.openList[n] = nil
 	c.openList = c.openList[:n]
-	if !c.KeepSpans {
-		if cap(t.Spans) > 0 {
-			c.spanPool = append(c.spanPool, t.Spans[:0])
-		}
-		t.Spans = nil
-	}
 	c.traces = append(c.traces, t)
 	resp := t.Response()
 	c.all.add(at, resp)
@@ -333,7 +322,7 @@ func (c *Collector) ResponseAfter(region string, cut sim.Time) []time.Duration {
 }
 
 // ServiceExecTimes returns every recorded execution time for service,
-// across all traces, in recording order.
+// across all traces, in recording order. Requires KeepSpans.
 func (c *Collector) ServiceExecTimes(service string) []time.Duration {
 	if i, ok := c.tallyOf[service]; ok {
 		return c.tallies[i].exec

@@ -80,18 +80,35 @@ func TestResponseAfterFiltersWarmup(t *testing.T) {
 	}
 }
 
+// TestKeepSpansFalseDropsSpans pins the collector contract: with KeepSpans
+// off a span leaves nothing behind — no span on the trace, no exec time in
+// the tallies — while the OnSpan tap and the response stores still see
+// every span and trace. With KeepSpans on, both are filled.
 func TestKeepSpansFalseDropsSpans(t *testing.T) {
-	c := NewCollector()
-	c.KeepSpans = false
-	tr := c.StartTrace("A", ms(0))
-	c.AddSpan(tr, Span{Service: "s", Submit: ms(0), Start: ms(0), End: ms(1)})
-	c.FinishTrace(tr, ms(2))
-	if len(c.Traces()[0].Spans) != 0 {
-		t.Fatal("spans retained despite KeepSpans=false")
-	}
-	// Per-service tallies must survive span dropping.
-	if len(c.ServiceExecTimes("s")) != 1 {
-		t.Fatal("exec tally lost")
+	for _, keep := range []bool{false, true} {
+		c := NewCollector()
+		c.KeepSpans = keep
+		tapped := 0
+		c.OnSpan = func(Span) { tapped++ }
+		tr := c.StartTrace("A", ms(0))
+		c.AddSpan(tr, Span{Service: "s", Submit: ms(0), Start: ms(0), End: ms(1)})
+		if got := len(tr.Spans); keep != (got == 1) {
+			t.Fatalf("KeepSpans=%v: open trace holds %d spans", keep, got)
+		}
+		c.FinishTrace(tr, ms(2))
+		want := 0
+		if keep {
+			want = 1
+		}
+		if got := len(c.Traces()[0].Spans); got != want {
+			t.Fatalf("KeepSpans=%v: finished trace holds %d spans, want %d", keep, got, want)
+		}
+		if got := len(c.ServiceExecTimes("s")); got != want {
+			t.Fatalf("KeepSpans=%v: %d exec times for s, want %d", keep, got, want)
+		}
+		if tapped != 1 || c.Count("A") != 1 {
+			t.Fatalf("KeepSpans=%v: OnSpan fired %d times, %d traces counted; want 1 and 1", keep, tapped, c.Count("A"))
+		}
 	}
 }
 

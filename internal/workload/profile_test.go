@@ -194,6 +194,7 @@ func TestSpecNormalize(t *testing.T) {
 		{Profile: "steady", Rate: math.NaN()}, // non-finite rate
 		{Profile: "steady", HorizonS: -2},     // negative horizon
 		{Profile: "steady", HorizonS: math.Inf(1)},
+		{Profile: "steady", HorizonS: 1e10}, // overflows time.Duration
 	}
 	for i, ws := range bad {
 		if _, err := ws.Normalize(35); err == nil {
