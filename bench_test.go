@@ -10,7 +10,11 @@
 package servicefridge_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"testing"
@@ -25,6 +29,7 @@ import (
 	"servicefridge/internal/metrics"
 	"servicefridge/internal/obs"
 	"servicefridge/internal/prof"
+	"servicefridge/internal/server"
 	"servicefridge/internal/sim"
 	"servicefridge/internal/telemetry"
 	"servicefridge/internal/trace"
@@ -615,5 +620,57 @@ func BenchmarkFridgeTick(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Tick()
+	}
+}
+
+// BenchmarkSessionWhatIf measures one early and one late what-if (fork at
+// 5% and 95% of the run, budget 0.75) against a done control-plane session
+// of testdata/service_smoke/scenario.json: the pair the control-plane
+// perfbench workload asks of every session. Requests go straight to the
+// handlers, in process, so the number is the session's cost, not the
+// network's.
+func BenchmarkSessionWhatIf(b *testing.B) {
+	scenario, err := os.ReadFile("testdata/service_smoke/scenario.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	server.New(server.Options{}).Register(mux)
+	call := func(method, path string, body []byte) []byte {
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		if w.Code/100 != 2 {
+			b.Fatalf("%s %s: %d: %s", method, path, w.Code, w.Body.Bytes())
+		}
+		return w.Body.Bytes()
+	}
+	var created struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(call("POST", "/sessions", scenario), &created); err != nil {
+		b.Fatal(err)
+	}
+	path := "/sessions/" + created.ID
+	var status struct {
+		State        string  `json:"state"`
+		TotalSeconds float64 `json:"total_seconds"`
+	}
+	for status.State != "done" {
+		if err := json.Unmarshal(call("GET", path+"/status", nil), &status); err != nil {
+			b.Fatal(err)
+		}
+		if status.State == "failed" || status.State == "cancelled" {
+			b.Fatalf("session %s", status.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	defer call("DELETE", path, nil)
+	early := []byte(fmt.Sprintf(`{"at_s": %g, "budget": 0.75}`, 0.05*status.TotalSeconds))
+	late := []byte(fmt.Sprintf(`{"at_s": %g, "budget": 0.75}`, 0.95*status.TotalSeconds))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call("POST", path+"/whatif", early)
+		call("POST", path+"/whatif", late)
 	}
 }

@@ -217,7 +217,9 @@ func main() {
 		mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
-		go (&http.Server{Handler: mux}).Serve(ln)
+		// ReadHeaderTimeout drops clients that open a connection and
+		// never finish their request headers.
+		go (&http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}).Serve(ln)
 		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", served)
 		fmt.Fprintf(os.Stderr, "control plane: POST scenarios to http://%s/sessions\n", served)
 	}

@@ -12,11 +12,18 @@ import (
 // Session-safe forking. A RunState can only be restored into the Result
 // it was taken from (calendar closures capture pointers into the live
 // object graph), so a what-if fork is not a second engine: it is a
-// detour on the same one. The what-if control plane pauses a run,
-// replays to the fork point from a base snapshot, explores the baseline
-// and perturbed branches to completion, and then replays back to where
-// it paused — every step deterministic, so the detour is invisible to
-// the session's own outputs.
+// detour on the same one. The what-if control plane (internal/server)
+// runs one in three steps, every one deterministic:
+//
+//   - Baseline. The unperturbed branch from any fork point is the run
+//     itself finished to its end, so it is computed once per session
+//     (at the session's own Finish, or by finishing the live run at its
+//     first what-if) and memoized.
+//   - Detour. ReplayTo(base, at) from the t=0 base snapshot, perturb
+//     (budget, clamp, load, traffic), Finish, read the branch's stats.
+//   - Resume, lazily. The engine stays detoured until something reads
+//     live state; then ReplayTo(base, paused) rebuilds it, with
+//     telemetry publication suspended so no rewound sample escapes.
 //
 // Resuming MUST replay (ReplayTo), not restore a bookmark snapshot taken
 // before the detour: snapshots share append-only backing arrays (trace
@@ -47,8 +54,9 @@ func (r *Result) Total() sim.Time {
 
 // ReplayTo rewinds the run to base and replays it forward to at. It is
 // both the fork primitive and the only sound way to resume a paused run
-// after a perturbed detour (see the package comment above). base must
-// have been taken from this Result at a time <= at.
+// after a perturbed detour (see the comment above). base must have been
+// taken from this Result at a time <= at; out-of-range times return an
+// error and leave the run untouched.
 func (r *Result) ReplayTo(base *RunState, at sim.Time) error {
 	if at < base.Now() {
 		return fmt.Errorf("engine: replay time %v precedes the base snapshot at %v", at, base.Now())
@@ -60,24 +68,6 @@ func (r *Result) ReplayTo(base *RunState, at sim.Time) error {
 	r.Engine.RunUntil(at)
 	r.ResetStats()
 	return nil
-}
-
-// ForkAt replays the run from base to the fork instant and returns a
-// fresh snapshot there. A typical what-if is
-//
-//	snap, _ := res.ForkAt(base, at)  // state at the fork point
-//	res.Finish()                     // baseline branch to completion
-//	...read stats...
-//	res.Restore(snap)                // back to the fork point
-//	...perturb (budget, clamp, load)...
-//	res.Finish()                     // perturbed branch to completion
-//	...read stats...
-//	res.ReplayTo(base, paused)       // resume where the run was paused
-func (r *Result) ForkAt(base *RunState, at sim.Time) (*RunState, error) {
-	if err := r.ReplayTo(base, at); err != nil {
-		return nil, err
-	}
-	return r.Snapshot(), nil
 }
 
 // ScaleWorkers multiplies the configured closed-loop worker count by

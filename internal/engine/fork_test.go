@@ -8,9 +8,10 @@ import (
 )
 
 // TestForkDetourInvisible is the what-if safety property: pausing a run
-// mid-flight, replaying a fork from the base snapshot, exploring a
-// perturbed branch to completion, and rewinding to the paused position
-// must leave the resumed run byte-identical to one that never forked.
+// mid-flight, finishing it as the baseline, replaying to a fork point from
+// the base snapshot, exploring a perturbed branch to completion, and
+// replaying back to the paused position must leave the resumed run
+// byte-identical to one that never forked.
 func TestForkDetourInvisible(t *testing.T) {
 	cold := mustRun(instrumentedConfig("ServiceFridge"))
 	want := fingerprint(t, cold)
@@ -20,21 +21,20 @@ func TestForkDetourInvisible(t *testing.T) {
 	live.Engine.RunUntil(sim.Time(3 * time.Second))
 	paused := live.Engine.Now()
 
-	// The detour: fork at t=1.5s, run the baseline branch out, rewind to
-	// the fork, perturb everything perturbable, run that branch out.
-	snap, err := live.ForkAt(base, sim.Time(1500*time.Millisecond))
-	if err != nil {
-		t.Fatalf("ForkAt: %v", err)
-	}
-	if live.Engine.Now() != sim.Time(1500*time.Millisecond) {
-		t.Fatalf("fork left the clock at %v", live.Engine.Now())
-	}
+	// The detour: finish the live run as the baseline branch, replay to
+	// the fork at t=1.5s, perturb everything perturbable, run that
+	// branch out.
 	live.Finish()
 	baseline := live.Summary("")
 	if baseline.Count == 0 {
 		t.Fatal("baseline branch completed no requests")
 	}
-	live.Restore(snap)
+	if err := live.ReplayTo(base, sim.Time(1500*time.Millisecond)); err != nil {
+		t.Fatalf("ReplayTo fork: %v", err)
+	}
+	if live.Engine.Now() != sim.Time(1500*time.Millisecond) {
+		t.Fatalf("fork left the clock at %v", live.Engine.Now())
+	}
 	live.SetBudgetFraction(0.75)
 	live.ClampFreq(1.6)
 	live.ScaleWorkers(1.5)
@@ -76,10 +76,10 @@ func TestUnperturbedBookmarkResume(t *testing.T) {
 	live.Engine.RunUntil(sim.Time(3 * time.Second))
 	cur := live.Snapshot()
 
-	snap, err := live.ForkAt(base, sim.Time(1500*time.Millisecond))
-	if err != nil {
-		t.Fatalf("ForkAt: %v", err)
+	if err := live.ReplayTo(base, sim.Time(1500*time.Millisecond)); err != nil {
+		t.Fatalf("ReplayTo: %v", err)
 	}
+	snap := live.Snapshot()
 	live.Finish()
 	live.Restore(snap)
 	live.Finish()
@@ -90,19 +90,31 @@ func TestUnperturbedBookmarkResume(t *testing.T) {
 	}
 }
 
-func TestForkAtBounds(t *testing.T) {
+// TestReplayToBounds: a replay may target any time from the base
+// snapshot's to the run's end, inclusive; anything else is an error that
+// leaves the run where it was.
+func TestReplayToBounds(t *testing.T) {
 	live := mustBuild(instrumentedConfig("Capping"))
 	base := live.Snapshot()
 	live.Engine.RunUntil(sim.Time(2 * time.Second))
 	mid := live.Snapshot()
-	if _, err := live.ForkAt(mid, sim.Time(time.Second)); err == nil {
-		t.Fatal("ForkAt accepted a fork time before the base snapshot")
+	if err := live.ReplayTo(mid, sim.Time(time.Second)); err == nil {
+		t.Fatal("ReplayTo accepted a time before the base snapshot")
 	}
-	if _, err := live.ForkAt(base, live.Total()+1); err == nil {
-		t.Fatal("ForkAt accepted a fork time past the run's end")
+	if err := live.ReplayTo(base, live.Total()+1); err == nil {
+		t.Fatal("ReplayTo accepted a time past the run's end")
 	}
-	if _, err := live.ForkAt(base, live.Total()); err != nil {
-		t.Fatalf("ForkAt rejected the run's end time: %v", err)
+	if now := live.Engine.Now(); now != sim.Time(2*time.Second) {
+		t.Fatalf("rejected replays moved the clock to %v", now)
+	}
+	if err := live.ReplayTo(base, live.Total()); err != nil {
+		t.Fatalf("ReplayTo rejected the run's end time: %v", err)
+	}
+	if err := live.ReplayTo(mid, mid.Now()); err != nil {
+		t.Fatalf("ReplayTo rejected the base snapshot's own time: %v", err)
+	}
+	if now := live.Engine.Now(); now != sim.Time(2*time.Second) {
+		t.Fatalf("replay to the base snapshot's time left the clock at %v", now)
 	}
 }
 

@@ -295,7 +295,7 @@ func DecodeScenario(r io.Reader) (Scenario, error) {
 	dec.DisallowUnknownFields()
 	var s Scenario
 	if err := dec.Decode(&s); err != nil {
-		return s, fmt.Errorf("scenario: %v", err)
+		return s, fmt.Errorf("scenario: %w", err)
 	}
 	if dec.More() {
 		return s, fmt.Errorf("scenario: trailing data after the JSON document")

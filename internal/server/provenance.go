@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"servicefridge/internal/engine"
 	"servicefridge/internal/obs"
 	"servicefridge/internal/sim"
 )
@@ -16,7 +15,8 @@ import (
 // tick into its ledger entry plus the cause-bearing events recorded in
 // that tick's window. Both execute on the session goroutine (the engine's
 // owner), and both are read-only: they serve already-sealed state and
-// cannot perturb the run.
+// cannot perturb the run. Both read live state, so each first replays
+// the live run back if a what-if left the engine detoured.
 //
 // Determinism: once a session is done, the ledger body is byte-identical
 // to `cmd/fridge -ledger` at the same scenario, and /explain bodies
@@ -32,7 +32,12 @@ func (c *ledgerCmd) fail(status int, msg string) {
 	c.reply <- cmdReply{status: status, body: errorBody(msg)}
 }
 
-func (c *ledgerCmd) exec(s *session, res *engine.Result, base *engine.RunState) {
+func (c *ledgerCmd) exec(s *session) {
+	if err := s.resumeLive(); err != nil {
+		c.fail(statusInternal, err.Error())
+		return
+	}
+	res := s.res
 	led := res.Config.Ledger
 	if led == nil { // unreachable: run() always attaches a ledger
 		c.fail(statusInternal, "session has no ledger")
@@ -76,7 +81,12 @@ type explainDoc struct {
 	EventsDropped uint64 `json:"events_dropped,omitempty"`
 }
 
-func (c *explainCmd) exec(s *session, res *engine.Result, base *engine.RunState) {
+func (c *explainCmd) exec(s *session) {
+	if err := s.resumeLive(); err != nil {
+		c.fail(statusInternal, err.Error())
+		return
+	}
+	res := s.res
 	led := res.Config.Ledger
 	if led == nil { // unreachable: run() always attaches a ledger
 		c.fail(statusInternal, "session has no ledger")

@@ -25,6 +25,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"sort"
 	"strconv"
@@ -42,6 +43,21 @@ const (
 	statusUnprocessable = http.StatusUnprocessableEntity
 	statusInternal      = http.StatusInternalServerError
 )
+
+// maxBodyBytes bounds the request bodies the control plane reads (scenario
+// specs and what-if queries). The largest committed scenario, an inline
+// trace included, is under 1 KiB; a larger body gets a 413.
+const maxBodyBytes = 1 << 20
+
+// badBodyStatus is the status for a request body that failed to parse:
+// 413 when it exceeded maxBodyBytes, 400 otherwise.
+func badBodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
 
 func errorBody(msg string) []byte {
 	body, _ := json.Marshal(map[string]string{"error": msg})
@@ -166,9 +182,9 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 
 // handleCreate accepts a scenario spec and starts a session for it.
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	sc, err := experiments.LoadScenario(r.Body)
+	sc, err := experiments.LoadScenario(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, badBodyStatus(err), err.Error())
 		return
 	}
 	s.mu.Lock()
@@ -306,9 +322,9 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	req, err := parseWhatIf(r.Body)
+	req, err := parseWhatIf(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, badBodyStatus(err), err.Error())
 		return
 	}
 	cmd := &whatifCmd{req: req, reply: make(chan cmdReply, 1)}

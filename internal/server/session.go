@@ -19,10 +19,10 @@ import (
 )
 
 // sessionCmd is a command executed on the session goroutine, which owns
-// the engine exclusively. exec runs with the warm engine; fail answers
-// the command when no engine is (or will be) available.
+// the engine exclusively. exec runs with the warm engine (s.res); fail
+// answers the command when no engine is (or will be) available.
 type sessionCmd interface {
-	exec(s *session, res *engine.Result, base *engine.RunState)
+	exec(s *session)
 	fail(status int, msg string)
 }
 
@@ -40,9 +40,11 @@ const (
 	StateDone State = "done"
 	// StateCancelled: the run was stopped early. The engine (if it ever
 	// started) stays warm for what-if queries — forks replay from the
-	// t=0 base snapshot, so they do not depend on how far the run got.
+	// t=0 base snapshot and the baseline is the run finished from where
+	// it stopped, so they do not depend on how far the run got.
 	StateCancelled State = "cancelled"
-	// StateFailed: the engine could not be built.
+	// StateFailed: the engine could not be built, or could not be
+	// replayed back to the live run after a what-if.
 	StateFailed State = "failed"
 )
 
@@ -83,6 +85,19 @@ type session struct {
 	gone       chan struct{} // closed by delete/evict: goroutine exits
 	goneOnce   sync.Once
 	cmds       chan sessionCmd
+
+	// Engine state, owned by the session goroutine: only run and the
+	// commands it executes touch these.
+	res  *engine.Result
+	base *engine.RunState // t=0 snapshot every replay starts from
+	// baseline is the unperturbed branch every what-if compares against:
+	// the run finished to its end, which by determinism does not depend
+	// on the fork point. Computed once, at the session's own Finish or
+	// at the first what-if of a running or cancelled session.
+	baseline *branchDoc
+	// detoured marks an engine left in what-if state. resumeLive replays
+	// the live run back (to simNow) before anything reads live state.
+	detoured bool
 }
 
 func newSession(id string, seq int, sc experiments.Scenario, srv *Server) *session {
@@ -159,33 +174,18 @@ queued:
 		pprof.Labels("session", s.id)))
 
 	s.setState(StateRunning, "")
-	cfg, err := s.scenario.Config()
-	var res *engine.Result
-	if err == nil {
-		cfg.Telemetry = s.tel
-		// Every session carries an events recorder and a run ledger:
-		// both are passive (the run is byte-identical with or without
-		// them), and they back GET /ledger and /explain. A done
-		// session's ledger is byte-identical to cmd/fridge -ledger at
-		// the same scenario. The phase profiler is passive too, and
-		// backs GET /profile.
-		cfg.Events = obs.NewRecorder(0)
-		cfg.Ledger = obs.NewLedger()
-		cfg.Prof = s.profiler
-		res, err = engine.BuildE(cfg)
-	}
-	if err != nil {
+	if err := s.start(); err != nil {
 		<-sem
 		s.setState(StateFailed, err.Error())
 		s.srv.sessionTerminal(s)
 		s.drainUnstarted()
 		return
 	}
-	base := res.Snapshot() // t=0 base every what-if fork replays from
+	res := s.res
 	total := res.Total()
 	s.simTotal.Store(int64(total))
 
-	cancelled := false
+	var stopped State // set when the advance loop ends early
 advance:
 	for now := res.Engine.Now(); now < total; {
 		next := now + advanceChunk
@@ -199,9 +199,9 @@ advance:
 		for {
 			select {
 			case cmd := <-s.cmds:
-				cmd.exec(s, res, base)
+				cmd.exec(s)
 			case <-s.cancel:
-				cancelled = true
+				stopped = StateCancelled
 				break advance
 			case <-s.gone:
 				<-sem
@@ -210,14 +210,22 @@ advance:
 				break drain
 			}
 		}
+		if s.resumeLive() != nil {
+			stopped = StateFailed
+			break advance
+		}
 	}
 
-	if cancelled {
+	switch stopped {
+	case StateCancelled:
 		s.setState(StateCancelled, "")
-	} else {
+	case StateFailed: // resumeLive recorded the error
+	default:
 		res.Finish()
 		s.simNow.Store(int64(res.Engine.Now()))
 		doc := buildResultDoc(s.scenario, res, s.tel)
+		baseline := branchStats(res, s.tel)
+		s.baseline = &baseline
 		s.mu.Lock()
 		s.result = doc
 		s.state = StateDone
@@ -232,11 +240,56 @@ advance:
 	for {
 		select {
 		case cmd := <-s.cmds:
-			cmd.exec(s, res, base)
+			cmd.exec(s)
 		case <-s.gone:
 			return
 		}
 	}
+}
+
+// start builds the session's engine and takes the t=0 base snapshot
+// every replay starts from. Every session carries an events recorder and
+// a run ledger: both are passive (the run is byte-identical with or
+// without them), and they back GET /ledger and /explain. A done
+// session's ledger is byte-identical to cmd/fridge -ledger at the same
+// scenario. The phase profiler is passive too, and backs GET /profile.
+func (s *session) start() error {
+	cfg, err := s.scenario.Config()
+	if err != nil {
+		return err
+	}
+	cfg.Telemetry = s.tel
+	cfg.Events = obs.NewRecorder(0)
+	cfg.Ledger = obs.NewLedger()
+	cfg.Prof = s.profiler
+	if s.res, err = engine.BuildE(cfg); err != nil {
+		return err
+	}
+	s.base = s.res.Snapshot()
+	return nil
+}
+
+// resumeLive undoes a what-if detour before anything reads live engine
+// state: it replays the run from the t=0 base to the position the live
+// run had reached (simNow). Telemetry publication stays suspended for
+// the replay, so /stream never sees a rewound or repeated sample. A
+// detour-free engine is left alone, so back-to-back what-ifs never pay
+// for a resume nothing reads.
+func (s *session) resumeLive() error {
+	if !s.detoured {
+		return nil
+	}
+	s.tel.SetPublishing(false)
+	defer s.tel.SetPublishing(true)
+	if err := s.res.ReplayTo(s.base, sim.Time(s.simNow.Load())); err != nil {
+		// Should be unreachable: the replay retraces a path the run
+		// already took. Surface it loudly rather than serving a corrupt
+		// session.
+		s.setState(StateFailed, err.Error())
+		return err
+	}
+	s.detoured = false
+	return nil
 }
 
 // drainUnstarted answers what-if commands on a session whose engine never

@@ -124,10 +124,6 @@ func (c *whatifCmd) fail(status int, msg string) {
 	c.reply <- cmdReply{status: status, body: errorBody(msg)}
 }
 
-func (c *whatifCmd) exec(s *session, res *engine.Result, base *engine.RunState) {
-	s.execWhatif(res, base, c)
-}
-
 func branchStats(res *engine.Result, tel *telemetry.Telemetry) branchDoc {
 	sum := res.Summary("")
 	d := branchDoc{P90Ms: ms(sum.P90), P99Ms: ms(sum.P99), FirstViolationS: -1}
@@ -145,133 +141,126 @@ func branchStats(res *engine.Result, tel *telemetry.Telemetry) branchDoc {
 	return d
 }
 
-// execWhatif runs one what-if on the session goroutine, which owns the
-// engine. The protocol (see internal/engine/fork.go): pause where the run
-// is, fork at the requested time from the t=0 base snapshot, run the
-// baseline branch to completion, rewind to the fork and run the perturbed
-// branch, then replay back to the paused position — the detour is
-// invisible to the session's own outputs. Telemetry publication is
+// exec runs one what-if on the session goroutine, which owns the
+// engine. The protocol (see internal/engine/fork.go): the baseline is the
+// session's memoized unperturbed run; the perturbed branch replays from
+// the t=0 base snapshot to the fork point, applies the perturbations and
+// runs to completion. The engine is then left detoured: resumeLive
+// replays the live run back only when something reads it, so the detour
+// stays invisible to the session's own outputs. Telemetry publication is
 // suspended for the duration so /status and the stream never see detour
 // state.
-func (s *session) execWhatif(res *engine.Result, base *engine.RunState, cmd *whatifCmd) {
-	paused := res.Engine.Now()
-	at := sim.Time(cmd.req.AtS * 1e9)
-
-	// Traffic perturbations are validated — and the swap profile built —
-	// before any fork, so a bad query fails fast with the session
-	// untouched. Everything derives from (scenario, query) alone, keeping
-	// the response deterministic.
-	var swap *workload.Profile
-	if cmd.req.RateFactor != 0 || cmd.req.Profile != "" {
-		if res.Driver == nil {
-			cmd.fail(statusUnprocessable,
-				"session has no time-varying workload (rate_factor/profile need a scenario workload section)")
-			return
-		}
+func (c *whatifCmd) exec(s *session) {
+	at, swap, err := s.prepare(c.req)
+	if err != nil {
+		c.fail(statusUnprocessable, err.Error())
+		return
 	}
-	if cmd.req.Profile != "" {
-		rate := cmd.req.Rate
-		if rate == 0 && s.scenario.Workload != nil {
-			rate = s.scenario.Workload.Rate
-		}
-		if rate <= 0 {
-			cmd.fail(statusUnprocessable,
-				"rate is required to swap the profile of a trace-driven session")
-			return
-		}
-		reg, _ := workload.Lookup(cmd.req.Profile) // validated on parse
-		// Generate over the regions the live profile drives — a trace may
-		// cover a subset of the app's regions, and only those have
-		// generators to swap onto.
-		regions := res.Config.Profile.Regions()
-		rates := make(map[string]float64, len(regions))
-		for _, r := range regions {
-			rates[r] = rate
-		}
-		prof, err := reg.New(workload.GenInput{
-			Regions: regions,
-			Rates:   rates,
-			Horizon: time.Duration(res.Total()),
-			Seed:    s.scenario.Seed,
-		})
-		if err != nil {
-			cmd.fail(statusUnprocessable, err.Error())
-			return
-		}
-		swap = prof
-	}
-
+	res := s.res
 	s.tel.SetPublishing(false)
 	defer s.tel.SetPublishing(true)
 
-	resume := func() error {
-		if err := res.ReplayTo(base, paused); err != nil {
-			return err
-		}
-		s.simNow.Store(int64(res.Engine.Now()))
-		return nil
+	if s.baseline == nil {
+		// A running or cancelled session that never detoured: its engine
+		// is the live run, so finishing it is the baseline branch.
+		s.detoured = true
+		res.Finish()
+		b := branchStats(res, s.tel)
+		s.baseline = &b
 	}
-
-	snap, err := res.ForkAt(base, at)
-	if err != nil {
-		cmd.fail(statusUnprocessable, err.Error())
-		if rerr := resume(); rerr != nil {
-			s.setState(StateFailed, rerr.Error())
-		}
+	if err := res.ReplayTo(s.base, at); err != nil { // unreachable: prepare bounds at
+		c.fail(statusInternal, err.Error())
 		return
 	}
-
+	s.detoured = true
+	if err := perturb(res, c.req, swap); err != nil { // unreachable: checked by prepare
+		c.fail(statusInternal, err.Error())
+		return
+	}
 	res.Finish()
-	baseline := branchStats(res, s.tel)
+	c.reply <- whatIfReply(s.scenario, c.req, *s.baseline, branchStats(res, s.tel))
+}
 
-	res.Restore(snap)
-	if cmd.req.Budget != 0 {
-		res.SetBudgetFraction(cmd.req.Budget)
+// prepare checks q against the session before any fork, so a bad query
+// fails fast with the session untouched: it bounds at_s by the run's end
+// and builds the swap profile. Everything derives from (scenario, query)
+// alone, keeping the response deterministic. It returns the fork time and
+// the swap profile (nil when q swaps none).
+func (s *session) prepare(q WhatIfRequest) (sim.Time, *workload.Profile, error) {
+	res := s.res
+	// Compare in seconds before converting: at_s*1e9 overflows sim.Time
+	// for large values.
+	total := res.Total()
+	if end := time.Duration(total).Seconds(); q.AtS > end {
+		return 0, nil, fmt.Errorf("at_s %v is past the run's end at %vs", q.AtS, end)
 	}
-	if cmd.req.MaxFreqGHz != 0 {
-		res.ClampFreq(cluster.GHz(cmd.req.MaxFreqGHz))
+	at := sim.Time(q.AtS * 1e9)
+	if (q.RateFactor != 0 || q.Profile != "") && res.Driver == nil {
+		return 0, nil, fmt.Errorf("session has no time-varying workload (rate_factor/profile need a scenario workload section)")
 	}
-	if cmd.req.LoadFactor != 0 {
-		res.ScaleWorkers(cmd.req.LoadFactor)
+	if q.Profile == "" {
+		return at, nil, nil
 	}
-	if cmd.req.RateFactor != 0 {
-		if err := res.ScaleTraffic(cmd.req.RateFactor); err != nil { // unreachable: checked pre-fork
-			cmd.fail(statusInternal, err.Error())
-			if rerr := resume(); rerr != nil {
-				s.setState(StateFailed, rerr.Error())
-			}
-			return
+	rate := q.Rate
+	if rate == 0 && s.scenario.Workload != nil {
+		rate = s.scenario.Workload.Rate
+	}
+	if rate <= 0 {
+		return 0, nil, fmt.Errorf("rate is required to swap the profile of a trace-driven session")
+	}
+	reg, _ := workload.Lookup(q.Profile) // validated on parse
+	// Generate over the regions the live profile drives — a trace may
+	// cover a subset of the app's regions, and only those have generators
+	// to swap onto.
+	regions := res.Config.Profile.Regions()
+	rates := make(map[string]float64, len(regions))
+	for _, r := range regions {
+		rates[r] = rate
+	}
+	swap, err := reg.New(workload.GenInput{
+		Regions: regions,
+		Rates:   rates,
+		Horizon: time.Duration(total),
+		Seed:    s.scenario.Seed,
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	return at, swap, nil
+}
+
+// perturb applies q's perturbations, and the swap profile prepare built
+// for it, at the fork point.
+func perturb(res *engine.Result, q WhatIfRequest, swap *workload.Profile) error {
+	if q.Budget != 0 {
+		res.SetBudgetFraction(q.Budget)
+	}
+	if q.MaxFreqGHz != 0 {
+		res.ClampFreq(cluster.GHz(q.MaxFreqGHz))
+	}
+	if q.LoadFactor != 0 {
+		res.ScaleWorkers(q.LoadFactor)
+	}
+	if q.RateFactor != 0 {
+		if err := res.ScaleTraffic(q.RateFactor); err != nil {
+			return err
 		}
 	}
 	if swap != nil {
-		if err := res.SwapProfile(swap); err != nil { // unreachable: checked pre-fork
-			cmd.fail(statusInternal, err.Error())
-			if rerr := resume(); rerr != nil {
-				s.setState(StateFailed, rerr.Error())
-			}
-			return
-		}
+		return res.SwapProfile(swap)
 	}
-	res.Finish()
-	perturbed := branchStats(res, s.tel)
+	return nil
+}
 
-	if err := resume(); err != nil {
-		// Should be unreachable: the replay retraces a path the run
-		// already took. Surface it loudly rather than serving a corrupt
-		// session.
-		s.setState(StateFailed, err.Error())
-		cmd.fail(statusInternal, err.Error())
-		return
-	}
-
-	doc := whatIfDoc{Scenario: s.scenario, Query: cmd.req, Baseline: baseline, Perturbed: perturbed}
+// whatIfReply is the 200 reply to q given its two branches.
+func whatIfReply(sc experiments.Scenario, q WhatIfRequest, baseline, perturbed branchDoc) cmdReply {
+	doc := whatIfDoc{Scenario: sc, Query: q, Baseline: baseline, Perturbed: perturbed}
 	doc.Delta.P90Ms = perturbed.P90Ms - baseline.P90Ms
 	doc.Delta.P99Ms = perturbed.P99Ms - baseline.P99Ms
 	doc.Delta.ViolationFraction = perturbed.ViolationFraction - baseline.ViolationFraction
-	body, merr := json.Marshal(doc)
-	if merr != nil { // unreachable: plain data
-		cmd.fail(statusInternal, merr.Error())
-		return
+	body, err := json.Marshal(doc)
+	if err != nil { // unreachable: plain data
+		return cmdReply{status: statusInternal, body: errorBody(err.Error())}
 	}
-	cmd.reply <- cmdReply{status: statusOK, body: append(body, '\n')}
+	return cmdReply{status: statusOK, body: append(body, '\n')}
 }
