@@ -198,7 +198,7 @@ func main() {
 	// plane's sessions.
 	var served string
 	if telFlags.Listen != "" {
-		tel.EnablePublishing()
+		tel.SetPublishing(true)
 		ln, err := net.Listen("tcp", telFlags.Listen)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "listen: %v\n", err)

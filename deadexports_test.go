@@ -9,53 +9,84 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// deadExportAllowlist names exported declarations under internal/ that
-// TestNoDeadExports accepts without a caller, keyed "pkg.Name" or
-// "pkg.Type.Method". Keep it to at most five entries, each with a reason.
-var deadExportAllowlist = map[string]string{
+// deadCodeAllowlist names declarations that TestNoDeadExports and
+// TestNoDeadState accept without a reader, keyed "pkg.Name",
+// "pkg.Type.Method" or "pkg.Type.field". Keep it to at most five entries,
+// each with a reason.
+var deadCodeAllowlist = map[string]string{
 	"trace.CriticalPath":       "the single-trace critical-path algorithm that critpath_test.go pins; Collector.Blame runs its allocation-free twin",
 	"trace.InferParents":       "parent inference for spans without parent IDs, pinned by critpath_test.go beside CriticalPath",
 	"workload.WriteTraceJSONL": "the writer half of the trace codec's exact round-trip test",
 }
 
-const maxDeadExportAllowlist = 5
+const maxDeadCodeAllowlist = 5
 
 // TestNoDeadExports fails for every exported package-level declaration or
 // method under internal/ that nothing runs. A declaration is live when it is
 // used from a _test.go file in another directory, or from non-test code that
-// is itself live: code outside internal/, unexported declarations, and
-// exported declarations already found live. Uses inside a dead declaration,
-// or from tests in the declaring directory, keep nothing alive. A method
-// that satisfies a named interface (or error) is live with its type, and the
-// allowlist above is live by decree.
+// is itself live: code outside internal/, unexported types, variables and
+// constants, and functions and declarations already found live. Uses inside
+// a dead declaration, or from tests in the declaring directory, keep nothing
+// alive. A method that satisfies a named interface (or error) is live with
+// its type, and the allowlist above is live by decree.
 //
 // The benchmark module under perfbench/ counts as a caller, so an API it
 // imports cannot be deleted while it still builds against it. Struct fields
-// and interface methods are not checked.
+// and unexported functions are TestNoDeadState's; interface methods are not
+// checked.
 func TestNoDeadExports(t *testing.T) {
-	if len(deadExportAllowlist) > maxDeadExportAllowlist {
-		t.Fatalf("deadExportAllowlist has %d entries, at most %d allowed", len(deadExportAllowlist), maxDeadExportAllowlist)
-	}
-	l := newModuleLoader(t)
-	l.loadTree()
-
-	dead, allowDead := l.deadExports()
-	for _, d := range dead {
+	dc := findDeadCode(t)
+	for _, d := range dc.exports {
 		t.Errorf("%s: %s has no use outside its own package's tests and dead code", d.pos, d.key)
 	}
-	for key := range deadExportAllowlist {
-		if !allowDead[key] {
-			t.Errorf("deadExportAllowlist entry %s is live or gone: remove it", key)
-		}
+	checkAllowlist(t, dc)
+}
+
+func checkAllowlist(t *testing.T, dc *deadCode) {
+	t.Helper()
+	if len(deadCodeAllowlist) > maxDeadCodeAllowlist {
+		t.Errorf("deadCodeAllowlist has %d entries, at most %d allowed", len(deadCodeAllowlist), maxDeadCodeAllowlist)
+	}
+	for _, key := range dc.stale {
+		t.Errorf("deadCodeAllowlist entry %s is live or gone: remove it", key)
 	}
 }
 
-type deadExport struct {
+// deadCode is what one load of the module finds: dead exports, dead
+// unexported functions and methods, fields nothing reads, and allowlist
+// entries that name nothing dead.
+type deadCode struct {
+	exports, funcs, fields []deadItem
+	stale                  []string
+}
+
+var loadedDeadCode struct {
+	sync.Mutex
+	dc *deadCode
+}
+
+// findDeadCode loads and analyses the module once for all the tests that
+// read it.
+func findDeadCode(t *testing.T) *deadCode {
+	loadedDeadCode.Lock()
+	defer loadedDeadCode.Unlock()
+	if loadedDeadCode.dc == nil {
+		l := newModuleLoader(t)
+		l.loadTree()
+		loadedDeadCode.dc = l.deadCode()
+	}
+	return loadedDeadCode.dc
+}
+
+// deadItem is one finding: a declaration or field, and where it is.
+type deadItem struct {
 	pos token.Position
 	key string
 }
@@ -68,8 +99,9 @@ const modulePath = "servicefridge"
 // a const, var or type declaration. Uses inside it are attributed to it.
 type decl struct {
 	objs    []types.Object // objects the declaration defines
-	checked bool           // every object is a checked export: the decl is live only once one is used
+	checked bool           // every object is checked: the decl is live only once one is used
 	uses    []types.Object
+	reads   []*types.Var // struct fields read, unless the decl is snapshot code
 }
 
 // moduleLoader parses and type-checks every package below the working
@@ -83,9 +115,11 @@ type moduleLoader struct {
 	seen map[string]bool           // import paths loaded or being loaded
 
 	decls   []*decl
-	checked map[types.Object]string // checked export -> allowlist key
+	checked map[types.Object]string // checked export or unexported function -> allowlist key
 	roots   []types.Object          // objects used by tests in other directories
 	named   []*types.Named          // every named type of the module
+	fields  map[*types.Var]string   // struct field of the root module -> allowlist key
+	exempt  map[*types.Var]bool     // fields read by reflection, ==, or only as snapshot copies
 }
 
 func newModuleLoader(t *testing.T) *moduleLoader {
@@ -96,6 +130,8 @@ func newModuleLoader(t *testing.T) *moduleLoader {
 		pkgs:    map[string]*types.Package{},
 		seen:    map[string]bool{},
 		checked: map[types.Object]string{},
+		fields:  map[*types.Var]string{},
+		exempt:  map[*types.Var]bool{},
 	}
 }
 
@@ -175,7 +211,7 @@ func (l *moduleLoader) loadDir(dir string) {
 		info := newInfo()
 		pkg = l.check(path, src, info, nil)
 		l.pkgs[path] = pkg
-		l.collect(src, info, dir == "internal" || strings.HasPrefix(dir, "internal/"))
+		l.collect(pkg, src, info, dir)
 		collectNamed(pkg, &l.named)
 	}
 	testPkg := pkg
@@ -216,8 +252,11 @@ func (l *moduleLoader) loadImports(f *ast.File) {
 
 func newInfo() *types.Info {
 	return &types.Info{
-		Defs: map[*ast.Ident]types.Object{},
-		Uses: map[*ast.Ident]types.Object{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Instances:  map[*ast.Ident]types.Instance{},
 	}
 }
 
@@ -246,13 +285,30 @@ func (l *moduleLoader) check(path string, files []*ast.File, info *types.Info, o
 }
 
 // collect records the top-level declarations of files and the objects each
-// one uses. With checkedDir, exported declarations are checked exports.
-func (l *moduleLoader) collect(files []*ast.File, info *types.Info, checkedDir bool) {
+// one uses. Exported declarations under internal/ are checked exports, and
+// unexported functions and methods of the root module are checked too,
+// except init and main. The root module's struct fields are recorded for
+// TestNoDeadState.
+func (l *moduleLoader) collect(pkg *types.Package, files []*ast.File, info *types.Info, dir string) {
+	exports := dir == "internal" || strings.HasPrefix(dir, "internal/")
+	rootModule := dir != "perfbench" && !strings.HasPrefix(dir, "perfbench/")
+	l.exemptImplicit(files, info)
 	for _, f := range files {
+		snapshotFile := filepath.Base(l.fset.File(f.Pos()).Name()) == "snapshot.go"
+		if rootModule {
+			l.collectFields(pkg, f, info, snapshotFile)
+		}
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
-				l.addDecl(d, []types.Object{info.Defs[d.Name]}, info, checkedDir && d.Name.IsExported())
+				name := d.Name.Name
+				entry := d.Recv == nil && (name == "init" || name == "main" && pkg.Name() == "main")
+				checked := exports && d.Name.IsExported() || rootModule && !d.Name.IsExported() && !entry
+				snapshot := snapshotFile || d.Recv != nil && (name == "Snapshot" || name == "Restore")
+				if d.Recv != nil && name == "Snapshot" {
+					l.exemptSnapshot(info.Defs[d.Name].Type().(*types.Signature))
+				}
+				l.addDecl(d, []types.Object{info.Defs[d.Name]}, info, checked, snapshot)
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
 					var objs []types.Object
@@ -269,14 +325,14 @@ func (l *moduleLoader) collect(files []*ast.File, info *types.Info, checkedDir b
 					case *ast.ImportSpec:
 						continue
 					}
-					l.addDecl(s, objs, info, checkedDir && exported)
+					l.addDecl(s, objs, info, exports && exported, snapshotFile)
 				}
 			}
 		}
 	}
 }
 
-func (l *moduleLoader) addDecl(n ast.Node, objs []types.Object, info *types.Info, checked bool) {
+func (l *moduleLoader) addDecl(n ast.Node, objs []types.Object, info *types.Info, checked, snapshot bool) {
 	d := &decl{objs: objs, checked: checked}
 	var recv *ast.FieldList
 	if fd, ok := n.(*ast.FuncDecl); ok {
@@ -294,6 +350,9 @@ func (l *moduleLoader) addDecl(n ast.Node, objs []types.Object, info *types.Info
 		}
 		return true
 	})
+	if !snapshot {
+		d.reads = fieldReads(n, info)
+	}
 	if checked {
 		for _, obj := range objs {
 			l.checked[obj] = exportKey(obj)
@@ -376,9 +435,10 @@ func (l *moduleLoader) interfaces() []*types.Interface {
 	return ifaces
 }
 
-// deadExports returns the checked exports that nothing live reaches, and
-// the allowlist keys that would be dead without the allowlist.
-func (l *moduleLoader) deadExports() (dead []deadExport, allowDead map[string]bool) {
+// deadCode returns the checked declarations that nothing live reaches, the
+// fields that no live declaration reads, and the allowlist keys that would
+// not be dead without the allowlist.
+func (l *moduleLoader) deadCode() *deadCode {
 	// Methods that satisfy an interface live and die with their type.
 	withType := map[*types.TypeName][]types.Object{}
 	ifaces := l.interfaces()
@@ -426,29 +486,69 @@ func (l *moduleLoader) deadExports() (dead []deadExport, allowDead map[string]bo
 				mark(d.uses...)
 			}
 		}
+		// A field is live once a live declaration reads it; its stores
+		// marked it above, so start it over.
+		for f := range l.fields {
+			live[f] = false
+		}
+		for _, obj := range extra {
+			live[obj] = true
+		}
+		for _, d := range l.decls {
+			if !d.checked || slices.ContainsFunc(d.objs, func(o types.Object) bool { return live[o] }) {
+				for _, f := range d.reads {
+					live[f] = true
+				}
+			}
+		}
 		return live
 	}
 
 	var allowed []types.Object
-	allowDead = map[string]bool{}
+	allowDead := map[string]bool{}
 	bare := liveFrom(nil)
-	for obj, key := range l.checked {
-		if _, ok := deadExportAllowlist[key]; ok {
+	allowlisted := func(obj types.Object, key string) {
+		if _, ok := deadCodeAllowlist[key]; ok {
 			allowed = append(allowed, obj)
 			allowDead[key] = !bare[obj]
 		}
 	}
+	for obj, key := range l.checked {
+		allowlisted(obj, key)
+	}
+	for f, key := range l.fields {
+		allowlisted(f, key)
+	}
 	live := liveFrom(allowed)
+	dc := &deadCode{}
 	for obj, key := range l.checked {
 		if !live[obj] {
-			dead = append(dead, deadExport{pos: l.fset.Position(obj.Pos()), key: key})
+			d := deadItem{pos: l.fset.Position(obj.Pos()), key: key}
+			if obj.Exported() {
+				dc.exports = append(dc.exports, d)
+			} else {
+				dc.funcs = append(dc.funcs, d)
+			}
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool {
-		a, b := dead[i].pos, dead[j].pos
-		return a.Filename < b.Filename || a.Filename == b.Filename && a.Offset < b.Offset
-	})
-	return dead, allowDead
+	for f, key := range l.fields {
+		if !live[f] && !l.exempt[f] {
+			dc.fields = append(dc.fields, deadItem{pos: l.fset.Position(f.Pos()), key: key})
+		}
+	}
+	for _, list := range [][]deadItem{dc.exports, dc.funcs, dc.fields} {
+		sort.Slice(list, func(i, j int) bool {
+			a, b := list[i].pos, list[j].pos
+			return a.Filename < b.Filename || a.Filename == b.Filename && a.Offset < b.Offset
+		})
+	}
+	for key := range deadCodeAllowlist {
+		if !allowDead[key] {
+			dc.stale = append(dc.stale, key)
+		}
+	}
+	sort.Strings(dc.stale)
+	return dc
 }
 
 func satisfiesInterface(n *types.Named, m *types.Func, ifaces []*types.Interface) bool {

@@ -2,37 +2,23 @@ package core
 
 // This file implements the dynamic half of MCF: the per-vertex indegree
 // counters of Figure 10. Each function-service vertex counts its live
-// request-access edges; the count at a time slot is the carry-over from
-// the previous slot (requests still in flight) plus the edges of requests
-// arriving in the current slot, minus the edges completed (the Ψ terms of
-// Figure 10).
+// request-access edges. Figure 10 updates the count once per time slot:
+// the carry-over (requests still in flight) plus the edges of requests
+// arriving in the slot, minus the edges completed (the Ψ terms). Here each
+// arrival and completion is folded into the live count as it happens, so
+// the count at any slot boundary is the same and no per-slot deltas are
+// kept: MCF reads only the live counts (Equation 3).
 
 // Counter maintains live indegree counts per function service.
 type Counter struct {
 	g *Graph
 	// pending[s] is the number of live request-access edges into s.
 	pending map[string]float64
-	// arrivals/completions accumulate within the current slot.
-	slotArrivals    map[string]float64
-	slotCompletions map[string]float64
-}
-
-// Slot is the recorded state of one closed time slot.
-type Slot struct {
-	// Arrivals and Completions are the per-service edge deltas in the
-	// slot; Pending is the live count at slot close.
-	Arrivals, Completions, Pending map[string]float64
 }
 
 // NewCounter creates zeroed counters over the graph's services.
 func NewCounter(g *Graph) *Counter {
-	c := &Counter{
-		g:               g,
-		pending:         make(map[string]float64),
-		slotArrivals:    make(map[string]float64),
-		slotCompletions: make(map[string]float64),
-	}
-	return c
+	return &Counter{g: g, pending: make(map[string]float64)}
 }
 
 // Observe records the arrival of one request to region: every service the
@@ -44,7 +30,6 @@ func (c *Counter) Observe(region string) {
 	}
 	for _, sn := range r.ServiceNames() {
 		c.pending[sn]++
-		c.slotArrivals[sn]++
 	}
 }
 
@@ -60,7 +45,6 @@ func (c *Counter) Complete(region string) {
 		if c.pending[sn] > 0 {
 			c.pending[sn]--
 		}
-		c.slotCompletions[sn]++
 	}
 }
 
@@ -141,20 +125,4 @@ func (c *Counter) RegionLoad() map[string]float64 {
 		}
 	}
 	return load
-}
-
-// Advance closes the current slot, returning its arrivals, completions and
-// final pending counts, and opens a new one.
-func (c *Counter) Advance() Slot {
-	snap := Slot{
-		Arrivals:    c.slotArrivals,
-		Completions: c.slotCompletions,
-		Pending:     make(map[string]float64, len(c.pending)),
-	}
-	for s, v := range c.pending {
-		snap.Pending[s] = v
-	}
-	c.slotArrivals = make(map[string]float64)
-	c.slotCompletions = make(map[string]float64)
-	return snap
 }

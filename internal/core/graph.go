@@ -29,10 +29,9 @@ import (
 
 // Edge is one aggregated edge of the bipartite graph: a region (API
 // vertex) invoking a function service with profiled call times and
-// execution time.
+// execution time. Graph.Edges returns a service's edges.
 type Edge struct {
-	Region  string
-	Service string
+	Region string
 	// CallTimes is call_ts of Equation 2.
 	CallTimes int
 	// Exec is exec_t of Equation 2 (mean per-invocation time at FreqMax).
@@ -73,7 +72,6 @@ func BuildGraph(spec *app.Spec) *Graph {
 			c, _ := r.CallTo(sn)
 			g.edges[sn] = append(g.edges[sn], Edge{
 				Region:    rn,
-				Service:   sn,
 				CallTimes: c.Times,
 				Exec:      c.Exec,
 			})

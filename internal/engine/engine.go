@@ -278,12 +278,7 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // FreqPoint is one sample of a service's host frequency.
 type FreqPoint struct {
-	At sim.Time
-	// Host names the node the sample was read from — the service's
-	// current primary host. Series stay attributable across migrations:
-	// a frequency step caused by the service moving to a different node
-	// is distinguishable from a DVFS action on the same node.
-	Host string
+	At   sim.Time
 	Freq cluster.GHz
 }
 
@@ -542,9 +537,7 @@ func BuildE(cfg Config) (*Result, error) {
 				if len(nodes) == 0 {
 					continue
 				}
-				res.FreqSeries[svc] = append(res.FreqSeries[svc], FreqPoint{
-					At: eng.Now(), Host: nodes[0].Name(), Freq: nodes[0].Freq(),
-				})
+				res.FreqSeries[svc] = append(res.FreqSeries[svc], FreqPoint{At: eng.Now(), Freq: nodes[0].Freq()})
 			}
 		})
 	}

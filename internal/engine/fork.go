@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"servicefridge/internal/cluster"
 	"servicefridge/internal/sim"
@@ -35,21 +36,24 @@ import (
 // back the exact bytes it overwrites), which is why warm-started sweeps
 // may keep restoring one snapshot without replaying.
 
-// Total returns the simulation end time of the run: Warmup+Duration, or
-// the phase schedule's (or traffic profile's) end when that is longer —
-// the deadline Finish advances the clock to.
-func (r *Result) Total() sim.Time {
-	cfg := r.Config
-	total := cfg.Warmup + cfg.Duration
-	if ph := phaseLength(cfg.Phases); ph > total {
-		total = ph
+// Total returns the simulation end time of the run (Config.End): the
+// deadline Finish advances the clock to.
+func (r *Result) Total() sim.Time { return sim.Time(r.Config.End()) }
+
+// End returns the simulated time a run of c ends at: Warmup+Duration, or
+// the phase schedule's (or traffic profile's) end when that is longer.
+func (c Config) End() time.Duration {
+	c.fill()
+	end := c.Warmup + c.Duration
+	if ph := phaseLength(c.Phases); ph > end {
+		end = ph
 	}
-	if cfg.Profile != nil {
-		if l := cfg.Profile.Length(); l > total {
-			total = l
+	if c.Profile != nil {
+		if l := c.Profile.Length(); l > end {
+			end = l
 		}
 	}
-	return sim.Time(total)
+	return end
 }
 
 // ReplayTo rewinds the run to base and replays it forward to at. It is

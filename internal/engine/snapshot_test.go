@@ -22,14 +22,14 @@ func fingerprint(t *testing.T, res *Result) string {
 	var b bytes.Buffer
 	for _, region := range []string{"", "A", "B"} {
 		s := res.Summary(region)
-		fmt.Fprintf(&b, "region=%q count=%d mean=%d p90=%d p95=%d p99=%d min=%d max=%d sd=%d\n",
-			region, s.Count, s.Mean, s.P90, s.P95, s.P99, s.Min, s.Max, s.StdDev)
+		fmt.Fprintf(&b, "region=%q count=%d mean=%d p90=%d p95=%d p99=%d max=%d\n",
+			region, s.Count, s.Mean, s.P90, s.P95, s.P99, s.Max)
 	}
 	for _, cs := range res.Meter.ClusterSamples() {
 		fmt.Fprintf(&b, "cs at=%d total=%v dyn=%v util=%v\n", cs.At, cs.Total, cs.Dynamic, cs.Util)
 	}
 	for _, smp := range res.Meter.Samples() {
-		fmt.Fprintf(&b, "s at=%d srv=%s f=%v u=%v p=%v\n", smp.At, smp.Server, smp.Freq, smp.Util, smp.Power)
+		fmt.Fprintf(&b, "s at=%d f=%v u=%v p=%v\n", smp.At, smp.Freq, smp.Util, smp.Power)
 	}
 	fmt.Fprintf(&b, "traces=%d launched=%d completed=%d migrations=%d crashes=%d\n",
 		len(res.Collector.Traces()), res.Executor.Launched(), res.Executor.Completed(),
@@ -41,7 +41,7 @@ func fingerprint(t *testing.T, res *Result) string {
 	sort.Strings(svcs)
 	for _, svc := range svcs {
 		for _, p := range res.FreqSeries[svc] {
-			fmt.Fprintf(&b, "fp %s at=%d host=%s f=%v\n", svc, p.At, p.Host, p.Freq)
+			fmt.Fprintf(&b, "fp %s at=%d f=%v\n", svc, p.At, p.Freq)
 		}
 	}
 	if res.Config.Events != nil {

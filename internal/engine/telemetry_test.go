@@ -27,7 +27,7 @@ func telemetryRun(t *testing.T, seed uint64, scrape bool) (*Result, *obs.Recorde
 		t.Fatal(err)
 	}
 	if scrape {
-		tel.EnablePublishing()
+		tel.SetPublishing(true)
 		srv := httptest.NewServer(telemetry.NewHandler(tel))
 		defer srv.Close()
 		stop := make(chan struct{})

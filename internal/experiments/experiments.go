@@ -119,15 +119,15 @@ func ghzCol(f float64) string { return fmt.Sprintf("%.1fGHz", f) }
 // pct formats a ratio as a percentage string.
 func pct(x float64) string { return fmt.Sprintf("%.1f%%", x*100) }
 
-// mixes returns the four access scenarios of §6.2 in paper order.
-func mixes() []struct {
+// abMix is one A:B access scenario: the request ratio and its label.
+type abMix struct {
 	Label string
 	A, B  float64
-} {
-	return []struct {
-		Label string
-		A, B  float64
-	}{
+}
+
+// mixes returns the four access scenarios of §6.2 in paper order.
+func mixes() []abMix {
+	return []abMix{
 		{"30:0", 30, 0},
 		{"30:20", 30, 20},
 		{"20:30", 20, 30},

@@ -25,10 +25,7 @@ func Figure12(seed uint64) []*metrics.Table {
 	tb := metrics.NewTable("Figure 12: operating frequency per microservice at 80% power", header...)
 
 	// One run per access scenario, fanned out across the worker pool.
-	perMix := parMap(mixes(), func(mx struct {
-		Label string
-		A, B  float64
-	}) map[string]string {
+	perMix := parMap(mixes(), func(mx abMix) map[string]string {
 		res := run(engine.Config{
 			Seed:           seed,
 			Scheme:         engine.ServiceFridge,

@@ -135,10 +135,7 @@ func Figure11(uint64) []*metrics.Table {
 	// Each scenario heatmap evaluates MCF at seven frequencies — pure CPU
 	// work, so each worker builds its own calculator and the four tables
 	// assemble in paper order.
-	return parMap(mixes(), func(mx struct {
-		Label string
-		A, B  float64
-	}) *metrics.Table {
+	return parMap(mixes(), func(mx abMix) *metrics.Table {
 		spec := app.TwoRegionStudy()
 		calc := core.NewCalculator(core.BuildGraph(spec))
 		classifier := core.NewClassifier(calc)

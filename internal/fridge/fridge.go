@@ -113,7 +113,6 @@ type Fridge struct {
 	zoneDemand  map[Zone]float64
 	demandTotal float64
 
-	ticks      uint64
 	promotions uint64
 	demotions  uint64
 
@@ -303,8 +302,6 @@ func (f *Fridge) load() map[string]float64 {
 func (f *Fridge) Tick() {
 	f.prof.Enter(prof.Tick)
 	defer f.prof.Exit()
-	f.ticks++
-	f.counter.Advance()
 	load := f.load()
 	if len(load) == 0 {
 		// No live traffic: keep everything at full speed (the budget is

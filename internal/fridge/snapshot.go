@@ -23,7 +23,6 @@ type State struct {
 	hasMCF          bool
 	zoneDemand      map[Zone]float64
 	demandTotal     float64
-	ticks           uint64
 	promotions      uint64
 	demotions       uint64
 	counter         *core.CounterState
@@ -46,7 +45,6 @@ func (f *Fridge) Snapshot() *State {
 		hasMCF:          f.hasMCF,
 		zoneDemand:      make(map[Zone]float64, len(f.zoneDemand)),
 		demandTotal:     f.demandTotal,
-		ticks:           f.ticks,
 		promotions:      f.promotions,
 		demotions:       f.demotions,
 		counter:         f.counter.Snapshot(),
@@ -121,7 +119,6 @@ func (f *Fridge) Restore(s *State) {
 		f.zoneDemand[z] = d
 	}
 	f.demandTotal = s.demandTotal
-	f.ticks = s.ticks
 	f.promotions = s.promotions
 	f.demotions = s.demotions
 	f.counter.Restore(s.counter)

@@ -66,17 +66,8 @@ func (s *LatencyStats) P95() time.Duration { return s.Percentile(0.95) }
 // P99 returns the 99th percentile.
 func (s *LatencyStats) P99() time.Duration { return s.Percentile(0.99) }
 
-// Min returns the smallest sample, or 0 with no samples. The endpoints
-// are read directly after sorting — no quantile interpolation.
-func (s *LatencyStats) Min() time.Duration {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.samples[0]
-}
-
-// Max returns the largest sample, or 0 with no samples.
+// Max returns the largest sample, or 0 with no samples. It is read
+// directly after sorting — no quantile interpolation.
 func (s *LatencyStats) Max() time.Duration {
 	if len(s.samples) == 0 {
 		return 0
@@ -102,10 +93,10 @@ func (s *LatencyStats) StdDev() time.Duration {
 
 // Summary is the row shape of the paper's QoS tables.
 type Summary struct {
-	Count            int
-	Mean             time.Duration
-	P90, P95, P99    time.Duration
-	Min, Max, StdDev time.Duration
+	Count         int
+	Mean          time.Duration
+	P90, P95, P99 time.Duration
+	Max           time.Duration
 }
 
 // Summarize computes all fields at once.
@@ -113,7 +104,7 @@ func (s *LatencyStats) Summarize() Summary {
 	return Summary{
 		Count: s.Count(), Mean: s.Mean(),
 		P90: s.P90(), P95: s.P95(), P99: s.P99(),
-		Min: s.Min(), Max: s.Max(), StdDev: s.StdDev(),
+		Max: s.Max(),
 	}
 }
 

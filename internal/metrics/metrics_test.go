@@ -22,7 +22,7 @@ func TestLatencyStatsBasics(t *testing.T) {
 	if s.Mean() != msd(30) {
 		t.Fatalf("mean = %v, want 30ms", s.Mean())
 	}
-	if s.Min() != msd(10) || s.Max() != msd(50) {
+	if s.Percentile(0) != msd(10) || s.Max() != msd(50) {
 		t.Fatal("min/max wrong")
 	}
 	if s.Percentile(0.5) != msd(30) {
@@ -35,23 +35,22 @@ func TestLatencyStatsBasics(t *testing.T) {
 
 func TestLatencyStatsMinMaxEdgeCases(t *testing.T) {
 	empty := FromSamples(nil)
-	if empty.Min() != 0 || empty.Max() != 0 {
-		t.Fatalf("empty Min/Max = %v/%v, want 0/0", empty.Min(), empty.Max())
+	if empty.Percentile(0) != 0 || empty.Max() != 0 {
+		t.Fatalf("empty Min/Max = %v/%v, want 0/0", empty.Percentile(0), empty.Max())
 	}
 	one := FromSamples([]time.Duration{msd(7)})
-	if one.Min() != msd(7) || one.Max() != msd(7) {
-		t.Fatalf("singleton Min/Max = %v/%v, want 7ms", one.Min(), one.Max())
+	if one.Percentile(0) != msd(7) || one.Max() != msd(7) {
+		t.Fatalf("singleton Min/Max = %v/%v, want 7ms", one.Percentile(0), one.Max())
 	}
-	// The direct endpoint reads must agree with the quantile endpoints.
+	// The direct endpoint read must agree with the quantile endpoint.
 	s := FromSamples([]time.Duration{msd(30), msd(10), msd(50), msd(20)})
-	if s.Min() != s.Percentile(0) || s.Max() != s.Percentile(1) {
-		t.Fatalf("Min/Max diverge from Percentile(0)/Percentile(1): %v/%v vs %v/%v",
-			s.Min(), s.Max(), s.Percentile(0), s.Percentile(1))
+	if s.Max() != s.Percentile(1) {
+		t.Fatalf("Max diverges from Percentile(1): %v vs %v", s.Max(), s.Percentile(1))
 	}
-	// Min/Max before any Percentile call must still trigger the sort.
+	// Max before any Percentile call must still trigger the sort.
 	u := FromSamples([]time.Duration{msd(9), msd(3)})
-	if u.Min() != msd(3) || u.Max() != msd(9) {
-		t.Fatalf("unsorted Min/Max = %v/%v, want 3ms/9ms", u.Min(), u.Max())
+	if u.Max() != msd(9) {
+		t.Fatalf("unsorted Max = %v, want 9ms", u.Max())
 	}
 }
 
@@ -101,7 +100,7 @@ func TestPercentileOrderingProperty(t *testing.T) {
 			}
 			last = p
 		}
-		return s.Mean() >= s.Min() && s.Mean() <= s.Max()
+		return s.Mean() >= s.Percentile(0) && s.Mean() <= s.Max()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

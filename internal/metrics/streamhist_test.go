@@ -83,8 +83,8 @@ func TestStreamingHistogramMatchesLatencyStats(t *testing.T) {
 			t.Errorf("q=%v: streamed %v vs LatencyStats %v", q, got, exact)
 		}
 	}
-	if h.min != stats.Min() || h.Max() != stats.Max() {
-		t.Errorf("min/max: streamed %v/%v vs exact %v/%v", h.min, h.Max(), stats.Min(), stats.Max())
+	if h.min != stats.Percentile(0) || h.Max() != stats.Max() {
+		t.Errorf("min/max: streamed %v/%v vs exact %v/%v", h.min, h.Max(), stats.Percentile(0), stats.Max())
 	}
 	if int(h.Count()) != stats.Count() {
 		t.Errorf("count: streamed %d vs exact %d", h.Count(), stats.Count())

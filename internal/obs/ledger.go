@@ -200,6 +200,9 @@ func ParseLedgerLine(line string) (t int, e LedgerEntry, err error) {
 		for end < len(rest) && rest[end] != '"' {
 			end++
 		}
+		if end == len(rest) {
+			return 0, e, fmt.Errorf("obs: malformed ledger line: unterminated key %.20q", rest)
+		}
 		key := rest[1:end]
 		rest = rest[end+1:]
 		if len(rest) == 0 || rest[0] != ':' {
@@ -212,6 +215,9 @@ func ParseLedgerLine(line string) (t int, e LedgerEntry, err error) {
 			end = 1
 			for end < len(rest) && rest[end] != '"' {
 				end++
+			}
+			if end == len(rest) {
+				return 0, e, fmt.Errorf("obs: malformed ledger line: unterminated value for %q", key)
 			}
 			val = rest[1:end]
 			rest = rest[end+1:]

@@ -21,15 +21,8 @@ type TickSummary struct {
 	BudgetW float64
 	// Per-instant decision counts.
 	Migrations, Promotions, Demotions, Crashes, Restarts, Scales int
-	// Per-instant SLO-monitor alert counts.
-	QoSViolations, QoSRecoveries, HeadroomAlerts int
-	// SLOActive is the number of series in violation after this instant:
-	// cumulative violations minus cumulative recoveries.
-	SLOActive int
 	// Cumulative counters across the whole stream.
 	CumMigrations, CumPromotions, CumDemotions int
-	// Events is the total number of records in this instant's bucket.
-	Events int
 }
 
 // Timeline folds a record stream (as returned by Recorder.Events) into
@@ -41,14 +34,12 @@ func Timeline(records []Record) []TickSummary {
 	freq := map[string]float64{}
 	var powerW, budgetW float64
 	var cumMig, cumPro, cumDem int
-	sloActive := 0
 
 	flush := func(s *TickSummary) {
 		s.ZonePop = copyInts(pop)
 		s.ZoneFreq = copyFloats(freq)
 		s.PowerW = powerW
 		s.BudgetW = budgetW
-		s.SLOActive = sloActive
 		s.CumMigrations = cumMig
 		s.CumPromotions = cumPro
 		s.CumDemotions = cumDem
@@ -63,7 +54,6 @@ func Timeline(records []Record) []TickSummary {
 			}
 			cur = &TickSummary{At: rec.At}
 		}
-		cur.Events++
 		switch ev := rec.Ev.(type) {
 		case ZoneReassign:
 			pop[ev.Zone] = len(ev.Servers)
@@ -89,14 +79,6 @@ func Timeline(records []Record) []TickSummary {
 			cur.Restarts++
 		case Scale:
 			cur.Scales++
-		case QoSViolation:
-			cur.QoSViolations++
-			sloActive++
-		case QoSRecovered:
-			cur.QoSRecoveries++
-			sloActive--
-		case BudgetHeadroomLow:
-			cur.HeadroomAlerts++
 		}
 	}
 	if cur != nil {

@@ -11,11 +11,10 @@ import (
 
 // Sample is one meter reading for one server over one sampling window.
 type Sample struct {
-	At     sim.Time
-	Server string
-	Freq   cluster.GHz
-	Util   float64
-	Power  Watts
+	At    sim.Time
+	Freq  cluster.GHz
+	Util  float64
+	Power Watts
 	// ByTag splits the dynamic component across the microservices that
 	// kept the server busy in the window, proportionally to their busy
 	// core time — the per-service power attribution behind Figure 13.
@@ -130,9 +129,7 @@ func (m *Meter) sample() {
 			}
 		}
 
-		sample := Sample{
-			At: now, Server: name, Freq: s.Freq(), Util: u, Power: p, ByTag: byTag,
-		}
+		sample := Sample{At: now, Freq: s.Freq(), Util: u, Power: p, ByTag: byTag}
 		m.samples = append(m.samples, sample)
 		m.last[name] = sample
 		total += p

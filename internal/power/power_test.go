@@ -122,9 +122,11 @@ func TestMeterSamplesUtilAndPower(t *testing.T) {
 	if len(m.ClusterSamples()) != 10 {
 		t.Fatalf("got %d cluster samples, want 10", len(m.ClusterSamples()))
 	}
+	// Each window samples the servers in cluster order.
+	servers := cl.Servers()
 	n1 := 0
-	for _, s := range m.Samples() {
-		switch s.Server {
+	for i, s := range m.Samples() {
+		switch servers[i%len(servers)].Name() {
 		case "n1":
 			n1++
 			if math.Abs(s.Util-1.0) > 1e-9 || math.Abs(float64(s.Power-100)) > 1e-9 {

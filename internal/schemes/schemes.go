@@ -186,8 +186,7 @@ func (p *PFirst) Tick() {
 // ranked by profiled execution time ascending and their hosts step down in
 // that order until the budget holds.
 type TFirst struct {
-	ctx  *Context
-	spec *app.Spec
+	ctx *Context
 	// order caches service names fastest-first.
 	order []string
 }
@@ -195,7 +194,7 @@ type TFirst struct {
 // NewTFirst returns the time-driven scheme. The spec supplies the offline
 // execution-time profile.
 func NewTFirst(ctx *Context, spec *app.Spec) *TFirst {
-	t := &TFirst{ctx: ctx, spec: spec}
+	t := &TFirst{ctx: ctx}
 	type se struct {
 		name string
 		exec time.Duration

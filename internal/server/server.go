@@ -26,6 +26,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
@@ -48,6 +49,12 @@ const (
 // specs and what-if queries). The largest committed scenario, an inline
 // trace included, is under 1 KiB; a larger body gets a 413.
 const maxBodyBytes = 1 << 20
+
+// maxSimEnd bounds the simulated time a session's run may end at:
+// warmup_s + duration_s, or the workload's end when that is later. One
+// simulated hour covers every committed scenario (the longest runs 240 s);
+// without a bound one POST /sessions could hold a worker slot for hours.
+const maxSimEnd = time.Hour
 
 // badBodyStatus is the status for a request body that failed to parse:
 // 413 when it exceeded maxBodyBytes, 400 otherwise.
@@ -187,11 +194,21 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badBodyStatus(err), err.Error())
 		return
 	}
+	cfg, err := sc.Config()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if end := cfg.End(); end > maxSimEnd {
+		writeError(w, statusUnprocessable, fmt.Sprintf(
+			"scenario: the run ends at %v of simulated time, past the %v a session may simulate", end, maxSimEnd))
+		return
+	}
 	s.mu.Lock()
 	s.nextID++
 	s.clock++
 	id := "s" + strconv.Itoa(s.nextID)
-	sess := newSession(id, s.nextID, sc, s)
+	sess := newSession(id, s.nextID, sc, cfg, s)
 	sess.lastUsed = s.clock
 	s.sessions[id] = sess
 	s.mu.Unlock()

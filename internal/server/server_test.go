@@ -357,6 +357,26 @@ func TestQueueCancelAndErrors(t *testing.T) {
 	}
 }
 
+// TestSimEndBounded: a scenario whose run would end past maxSimEnd, by its
+// own phases or by a later workload schedule, gets a 422 naming the bound
+// and creates no session.
+func TestSimEndBounded(t *testing.T) {
+	ts := newTestServer(t, Options{})
+	for _, sc := range []string{
+		`{"warmup_s":1,"duration_s":3600}`,
+		`{"warmup_s":1,"duration_s":3,"workload":{"profile":"diurnal","horizon_s":7200}}`,
+		`{"warmup_s":1,"duration_s":3,"workload":{"trace":"t_s,region,rate\n0,A,10\n3601,A,0\n"}}`,
+	} {
+		code, body := doReq(t, "POST", ts.URL+"/sessions", sc)
+		if code != http.StatusUnprocessableEntity || !strings.Contains(string(body), maxSimEnd.String()) {
+			t.Errorf("%s: status %d, body %s; want 422 naming the %v bound", sc, code, body, maxSimEnd)
+		}
+	}
+	if code, body := doReq(t, "GET", ts.URL+"/sessions", ""); code != http.StatusOK || strings.Contains(string(body), `"id"`) {
+		t.Errorf("rejected scenarios created sessions: %d %s", code, body)
+	}
+}
+
 func TestLRUEvictsOldestFinished(t *testing.T) {
 	ts := newTestServer(t, Options{MaxFinished: 2})
 	var ids []string

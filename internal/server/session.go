@@ -61,6 +61,7 @@ type session struct {
 	id       string
 	seq      int // creation order, for stable listings
 	scenario experiments.Scenario
+	cfg      engine.Config // the scenario's engine configuration
 	tel      *telemetry.Telemetry
 	// profiler is the session's always-on phase profiler (detached, so it
 	// works regardless of the process-wide -profile switch). It is
@@ -100,11 +101,12 @@ type session struct {
 	detoured bool
 }
 
-func newSession(id string, seq int, sc experiments.Scenario, srv *Server) *session {
+func newSession(id string, seq int, sc experiments.Scenario, cfg engine.Config, srv *Server) *session {
 	s := &session{
 		id:       id,
 		seq:      seq,
 		scenario: sc,
+		cfg:      cfg,
 		tel:      sc.NewTelemetry(),
 		profiler: prof.NewDetached("session:" + id),
 		srv:      srv,
@@ -114,7 +116,7 @@ func newSession(id string, seq int, sc experiments.Scenario, srv *Server) *sessi
 		cmds:     make(chan sessionCmd),
 	}
 	prof.Register(s.profiler)
-	s.tel.EnablePublishing()
+	s.tel.SetPublishing(true)
 	s.simTotal.Store(int64(sc.Warmup() + sc.Duration()))
 	return s
 }
@@ -253,11 +255,8 @@ advance:
 // without them), and they back GET /ledger and /explain. A done
 // session's ledger is byte-identical to cmd/fridge -ledger at the same
 // scenario. The phase profiler is passive too, and backs GET /profile.
-func (s *session) start() error {
-	cfg, err := s.scenario.Config()
-	if err != nil {
-		return err
-	}
+func (s *session) start() (err error) {
+	cfg := s.cfg
 	cfg.Telemetry = s.tel
 	cfg.Events = obs.NewRecorder(0)
 	cfg.Ledger = obs.NewLedger()

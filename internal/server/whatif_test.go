@@ -125,7 +125,11 @@ func oracleGrid(t *testing.T, scenario string) []gridPoint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := newSession("oracle", 0, sc, nil)
+	cfg, err := sc.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := newSession("oracle", 0, sc, cfg, nil)
 	t.Cleanup(o.markGone)
 	if err := o.start(); err != nil {
 		t.Fatal(err)

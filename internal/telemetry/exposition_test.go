@@ -134,7 +134,7 @@ func TestPrometheusExpositionConformance(t *testing.T) {
 		mcf: map[string]float64{"route": 0.125, "ticketinfo": 0.625}, ready: true,
 	}
 	h := newHarness(t, Options{}, probe)
-	h.tel.EnablePublishing()
+	h.tel.SetPublishing(true)
 	h.ok, h.power, h.util = true, 251.375, 0.8125
 	for i := 0; i < 20; i++ {
 		h.tel.ObserveResponse("A", 150*time.Millisecond)

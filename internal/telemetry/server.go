@@ -24,7 +24,6 @@ type Snapshot struct {
 	Services []string
 	Sample   Sample
 	SLO      []SeriesSLO
-	Interval time.Duration
 }
 
 // publisher is the one-way channel from the (single-threaded, determinism
@@ -51,17 +50,14 @@ type history struct {
 // half is dropped and streams that fell that far behind skip forward.
 const maxHistory = 8192
 
-// EnablePublishing turns on snapshot publication. Off by default because
-// building the immutable snapshot allocates — only the serving CLI pays
-// that cost; the bench-gated sampling path stays allocation-free.
-func (t *Telemetry) EnablePublishing() { t.publishing = true }
-
-// SetPublishing toggles snapshot publication. The what-if control plane
-// pauses publication while it replays forked branches on a session's
-// engine — those samples are detour state, not the live run — and
-// resumes it afterwards. Call only from the goroutine driving the
-// simulation; the previously published snapshot stays readable while
-// publication is off.
+// SetPublishing toggles snapshot publication. It is off by default because
+// building the immutable snapshot allocates: only the serving CLI and the
+// control plane pay that cost, and the bench-gated sampling path stays
+// allocation-free. The what-if control plane pauses publication while it
+// replays forked branches on a session's engine — those samples are
+// detour state, not the live run — and resumes it afterwards. Call only
+// from the goroutine driving the simulation; the previously published
+// snapshot stays readable while publication is off.
 func (t *Telemetry) SetPublishing(on bool) { t.publishing = on }
 
 // publish builds and atomically installs a fresh snapshot of row.
@@ -73,7 +69,6 @@ func (t *Telemetry) publish(row *Sample) {
 		Services: t.b.Services,
 		Sample:   cloneSample(row),
 		SLO:      t.SLOReport(),
-		Interval: t.opt.Interval,
 	}
 	t.pub.snap.Store(snap)
 	var h history

@@ -376,7 +376,7 @@ func (t *Telemetry) fillSeries(st *SeriesStats, w *metrics.WindowedHistogram) {
 // Sample captures one tick: window digests, cluster and controller
 // state, SLO evaluation, then window rotation. It is the engine's Every
 // callback and the package's allocation-free hot path; only opt-in
-// snapshot publication (EnablePublishing) allocates.
+// snapshot publication (SetPublishing) allocates.
 func (t *Telemetry) Sample() {
 	t.prof.Enter(prof.Telemetry)
 	defer t.prof.Exit()

@@ -409,7 +409,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		mcf: map[string]float64{"route": 0.125, "ticketinfo": 0.625}, ready: true,
 	}
 	h := newHarness(t, Options{}, probe)
-	h.tel.EnablePublishing()
+	h.tel.SetPublishing(true)
 	srv := httptest.NewServer(NewHandler(h.tel))
 	defer srv.Close()
 

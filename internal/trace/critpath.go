@@ -139,8 +139,6 @@ func appendPath(steps []PathStep, t *Trace, parents []int, last int) []PathStep 
 type Blame struct {
 	// Spans counts critical-path spans attributed to the service.
 	Spans int
-	// Requests counts requests whose critical path touched the service.
-	Requests int
 	// Queue is time critical-path spans spent waiting for a core.
 	Queue time.Duration
 	// Exec is core occupancy at the frequency-neutral baseline: the
@@ -153,6 +151,8 @@ type Blame struct {
 	// PerRequest is the distribution of this service's per-request blame
 	// totals (queue + execution per request), streamed into a bounded
 	// histogram so accumulation over millions of requests stays O(buckets).
+	// Its count is the number of requests whose critical path touched the
+	// service.
 	PerRequest *metrics.StreamingHistogram
 }
 
@@ -163,8 +163,6 @@ func (b *Blame) Total() time.Duration { return b.Queue + b.Exec + b.FreqInflatio
 // Response == Dispatch + Σ over services of Blame.Total() — the
 // decomposition telescopes exactly, by construction.
 type RegionBlame struct {
-	// Region is the request region the profile covers.
-	Region string
 	// Requests counts observed requests.
 	Requests int
 	// Response is the summed end-to-end response time of those requests.
@@ -249,7 +247,7 @@ func (a *BlameAccumulator) ServiceTotal(service string) time.Duration {
 func (a *BlameAccumulator) Observe(t *Trace) {
 	rb := a.regions[t.Region]
 	if rb == nil {
-		rb = &RegionBlame{Region: t.Region, byService: make(map[string]*Blame)}
+		rb = &RegionBlame{byService: make(map[string]*Blame)}
 		a.regions[t.Region] = rb
 	}
 	rb.Requests++
@@ -303,8 +301,6 @@ func (a *BlameAccumulator) Observe(t *Trace) {
 	rb.Dispatch += dispatch
 
 	for svc, d := range a.reqTot {
-		b := rb.byService[svc]
-		b.Requests++
-		b.PerRequest.Add(d)
+		rb.byService[svc].PerRequest.Add(d)
 	}
 }

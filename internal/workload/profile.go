@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 )
 
@@ -21,14 +22,13 @@ type Point struct {
 // from the generator registry (Lookup) or the trace codec (ParseTrace),
 // and round-trip losslessly through WriteTrace/ParseTrace.
 type Profile struct {
-	// Name is the generator or trace the profile came from.
-	Name   string
 	Points []Point
 }
 
 // Validate reports the first structural problem: no points, a negative or
-// non-finite time or rate, an empty region, out-of-order times, or a
-// duplicate (time, region) key. A valid profile is exactly what ParseTrace
+// non-finite time or rate, an empty region or one the CSV encoding cannot
+// carry (a comma, a line break, or surrounding space), out-of-order times,
+// or a duplicate (time, region) key. A valid profile is exactly what ParseTrace
 // accepts, so any valid profile can be serialized and replayed.
 func (p *Profile) Validate() error {
 	if p == nil || len(p.Points) == 0 {
@@ -42,6 +42,9 @@ func (p *Profile) Validate() error {
 		}
 		if pt.Region == "" {
 			return fmt.Errorf("workload: point %d has an empty region", i)
+		}
+		if strings.ContainsAny(pt.Region, ",\r\n") || strings.TrimSpace(pt.Region) != pt.Region {
+			return fmt.Errorf("workload: point %d region %q must not contain commas or line breaks or start or end with space", i, pt.Region)
 		}
 		if pt.Rate < 0 || math.IsNaN(pt.Rate) || math.IsInf(pt.Rate, 0) {
 			return fmt.Errorf("workload: point %d rate %v must be finite and non-negative", i, pt.Rate)

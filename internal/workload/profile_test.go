@@ -9,7 +9,7 @@ import (
 	"servicefridge/internal/sim"
 )
 
-func pts(rows ...Point) *Profile { return &Profile{Name: "test", Points: rows} }
+func pts(rows ...Point) *Profile { return &Profile{Points: rows} }
 
 func TestProfileValidate(t *testing.T) {
 	good := pts(

@@ -53,8 +53,6 @@ type Generator func(GenInput) (*Profile, error)
 type Registration struct {
 	// Name is the registry key ("diurnal", "flash-crowd", ...).
 	Name string
-	// Desc is the one-line description CLI help prints.
-	Desc string
 	// New builds the profile.
 	New Generator
 }
@@ -113,12 +111,11 @@ func roundMS(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
 func init() {
 	Register(Registration{
 		Name: "steady",
-		Desc: "constant per-region base rate from t=0",
 		New: func(in GenInput) (*Profile, error) {
 			if err := in.validate(); err != nil {
 				return nil, err
 			}
-			p := &Profile{Name: "steady"}
+			p := &Profile{}
 			for _, r := range in.Regions {
 				p.Points = append(p.Points, Point{At: 0, Region: r, Rate: round3(in.Rates[r])})
 			}
@@ -127,13 +124,12 @@ func init() {
 	})
 	Register(Registration{
 		Name: "diurnal",
-		Desc: "24-step day curve (0.35x night trough to 1x midday peak), regions phase-shifted by 1/8 day",
 		New: func(in GenInput) (*Profile, error) {
 			if err := in.validate(); err != nil {
 				return nil, err
 			}
 			const steps = 24
-			p := &Profile{Name: "diurnal"}
+			p := &Profile{}
 			for i := 0; i < steps; i++ {
 				at := roundMS(time.Duration(i) * in.Horizon / steps)
 				for ri, r := range in.Regions {
@@ -149,12 +145,11 @@ func init() {
 	})
 	Register(Registration{
 		Name: "flash-crowd",
-		Desc: "steady base with a 4x spike on the first region at 40% of the horizon, stepping back down",
 		New: func(in GenInput) (*Profile, error) {
 			if err := in.validate(); err != nil {
 				return nil, err
 			}
-			p := &Profile{Name: "flash-crowd"}
+			p := &Profile{}
 			for _, r := range in.Regions {
 				p.Points = append(p.Points, Point{At: 0, Region: r, Rate: round3(in.Rates[r])})
 			}
@@ -172,13 +167,12 @@ func init() {
 	})
 	Register(Registration{
 		Name: "burst",
-		Desc: "three seeded correlated bursts (2-4x, all regions at once) inside the middle 70% of the horizon",
 		New: func(in GenInput) (*Profile, error) {
 			if err := in.validate(); err != nil {
 				return nil, err
 			}
 			rng := sim.NewRNG(in.Seed).Stream("workload-burst")
-			p := &Profile{Name: "burst"}
+			p := &Profile{}
 			for _, r := range in.Regions {
 				p.Points = append(p.Points, Point{At: 0, Region: r, Rate: round3(in.Rates[r])})
 			}

@@ -34,11 +34,11 @@ type traceRow struct {
 }
 
 // ParseTrace reads a CSV or JSONL trace and returns it as a validated
-// Profile named "trace".
+// Profile.
 func ParseTrace(r io.Reader) (*Profile, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	p := &Profile{Name: TraceProfile}
+	p := &Profile{}
 	jsonl := false
 	header := false
 	line := 0

@@ -1,6 +1,10 @@
 package workload
 
 import (
+	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -18,9 +22,6 @@ func TestParseTraceCSV(t *testing.T) {
 	p, err := ParseTrace(strings.NewReader(in))
 	if err != nil {
 		t.Fatalf("ParseTrace: %v", err)
-	}
-	if p.Name != TraceProfile {
-		t.Fatalf("profile name %q, want %q", p.Name, TraceProfile)
 	}
 	want := []Point{
 		{At: 0, Region: "A", Rate: 10},
@@ -74,6 +75,9 @@ func TestParseTraceRejectsMalformed(t *testing.T) {
 		{"jsonl unknown field", `{"t_s":0,"region":"A","rate":1,"extra":true}`},
 		{"jsonl bad type", `{"t_s":"0","region":"A","rate":1}`},
 		{"jsonl garbage", `{not json}`},
+		{"jsonl region with comma", `{"t_s":0,"region":"A,B","rate":1}`},
+		{"jsonl region with line break", `{"t_s":0,"region":"A\n","rate":1}`},
+		{"jsonl region with space", `{"t_s":0,"region":" A","rate":1}`},
 		{"jsonl unsorted", `{"t_s":2,"region":"A","rate":1}` + "\n" + `{"t_s":1,"region":"A","rate":1}`},
 	}
 	for _, c := range cases {
@@ -146,4 +150,52 @@ func TestWriteTraceRejectsInvalid(t *testing.T) {
 	if err := WriteTraceJSONL(&b, pts(Point{At: 0, Region: "A", Rate: -1})); err == nil {
 		t.Error("WriteTraceJSONL accepted a negative rate")
 	}
+}
+
+// FuzzTraceCodec: ParseTrace returns an error or a profile that WriteTrace
+// then ParseTrace reproduces exactly — never a panic. The corpus is seeded
+// with the committed trace files and the inline traces of the committed
+// scenarios.
+func FuzzTraceCodec(f *testing.F) {
+	csvs, _ := filepath.Glob("../../testdata/traces/*.csv")
+	scenarios, _ := filepath.Glob("../../testdata/*/*.json")
+	for _, path := range append(csvs, scenarios...) {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if filepath.Ext(path) == ".csv" {
+			f.Add(string(b))
+			continue
+		}
+		var sc struct {
+			Workload struct{ Trace string } `json:"workload"`
+		}
+		if json.Unmarshal(b, &sc) == nil && sc.Workload.Trace != "" {
+			f.Add(sc.Workload.Trace)
+		}
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		p, err := ParseTrace(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var b strings.Builder
+		if err := WriteTrace(&b, p); err != nil {
+			t.Fatalf("WriteTrace of a parsed profile: %v", err)
+		}
+		back, err := ParseTrace(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("reparse of %q: %v", b.String(), err)
+		}
+		if len(back.Points) != len(p.Points) {
+			t.Fatalf("%d points round-tripped to %d", len(p.Points), len(back.Points))
+		}
+		for i, pt := range p.Points {
+			got := back.Points[i]
+			if got.At != pt.At || got.Region != pt.Region || math.Float64bits(got.Rate) != math.Float64bits(pt.Rate) {
+				t.Fatalf("point %d: %+v round-tripped to %+v", i, pt, got)
+			}
+		}
+	})
 }
