@@ -450,19 +450,8 @@ func BenchmarkStreamingHistogram(b *testing.B) {
 // so it must never disturb the heap.
 func BenchmarkTelemetrySample(b *testing.B) {
 	var now sim.Time
-	tel := telemetry.New(telemetry.Options{})
+	tel := bindTwoRegionTelemetry(b, &now)
 	spec := app.TwoRegionStudy()
-	err := tel.Bind(telemetry.Bindings{
-		Now:        func() sim.Time { return now },
-		Scheme:     "ServiceFridge",
-		Regions:    spec.RegionNames(),
-		Services:   spec.ServiceNames(),
-		Cluster:    func() (float64, float64, float64, bool) { return 330, 400, 0.7, true },
-		Migrations: func() uint64 { return 5 },
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
 	regions := spec.RegionNames()
 	services := spec.ServiceNames()
 	b.ReportAllocs()
@@ -476,6 +465,62 @@ func BenchmarkTelemetrySample(b *testing.B) {
 	}
 	if tel.Len() == 0 {
 		b.Fatal("no samples recorded")
+	}
+}
+
+// bindTwoRegionTelemetry binds a default-options Telemetry to the
+// TwoRegionStudy layout, with its clock read from *now.
+func bindTwoRegionTelemetry(b *testing.B, now *sim.Time) *telemetry.Telemetry {
+	b.Helper()
+	tel := telemetry.New(telemetry.Options{})
+	spec := app.TwoRegionStudy()
+	err := tel.Bind(telemetry.Bindings{
+		Now:        func() sim.Time { return *now },
+		Scheme:     "ServiceFridge",
+		Regions:    spec.RegionNames(),
+		Services:   spec.ServiceNames(),
+		Cluster:    func() (float64, float64, float64, bool) { return 330, 400, 0.7, true },
+		Migrations: func() uint64 { return 5 },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tel
+}
+
+// BenchmarkTelemetrySnapshotRestore measures the telemetry half of a fork:
+// Snapshot, one sampled tick past it, and Restore, on a TwoRegionStudy
+// instance whose latency windows are full (every sub-window holds a tick
+// of responses and spans). Its cost follows the samples the windows hold
+// and the rows written, not the histogram bucket count or the ring's
+// capacity; allocs/op is Snapshot's deep copy.
+func BenchmarkTelemetrySnapshotRestore(b *testing.B) {
+	var now sim.Time
+	tel := bindTwoRegionTelemetry(b, &now)
+	spec := app.TwoRegionStudy()
+	regions := spec.RegionNames()
+	services := spec.ServiceNames()
+	tick := func(k int) {
+		for i := 0; i < 50; i++ {
+			d := time.Duration(5+(k+i)%60) * time.Millisecond
+			tel.ObserveResponse(regions[i%len(regions)], d)
+			tel.ObserveServiceExec(services[i%len(services)], d/8)
+		}
+		now += sim.Time(time.Second)
+		tel.Sample()
+	}
+	for k := 0; k < 20; k++ {
+		tick(k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := tel.Snapshot()
+		tick(i)
+		tel.Restore(s)
+	}
+	if tel.Len() != 20 {
+		b.Fatalf("restored ring holds %d rows, want 20", tel.Len())
 	}
 }
 

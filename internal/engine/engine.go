@@ -505,6 +505,7 @@ func BuildE(cfg Config) (*Result, error) {
 		b := telemetry.Bindings{
 			Now:      eng.Now,
 			Scheme:   string(cfg.Scheme),
+			End:      cfg.End(),
 			Regions:  cfg.Spec.RegionNames(),
 			Services: cfg.Spec.ServiceNames(),
 			Cluster: func() (float64, float64, float64, bool) {
@@ -524,7 +525,7 @@ func BuildE(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		col.OnFinish = tel.ObserveResponse
-		col.OnSpan = func(s trace.Span) { tel.ObserveServiceExec(s.Service, s.Exec()) }
+		col.OnSpan = tel.ObserveSpan
 		// Registered after the control loop so a shared instant samples
 		// post-tick state; telemetry only reads, so the extra calendar
 		// entries shift seq numbers without reordering anything else.

@@ -70,6 +70,15 @@ type ScenarioTelemetry struct {
 	SLOTargetMS float64 `json:"slo_target_ms,omitempty"`
 }
 
+// Bounds on the scenario fields that size what a run allocates before its
+// first event: building the run launches every closed-loop worker's first
+// request, and binding telemetry keeps window_ticks sub-windows for every
+// latency series.
+const (
+	maxWorkers     = 10000
+	maxWindowTicks = 3600
+)
+
 // Normalize validates s and returns a copy with every default explicit.
 // Normalized scenarios are canonical: equal runs marshal to equal bytes.
 func (s Scenario) Normalize() (Scenario, error) {
@@ -89,8 +98,8 @@ func (s Scenario) Normalize() (Scenario, error) {
 	if s.Workers == 0 && s.Workload == nil {
 		s.Workers = 50
 	}
-	if s.Workers < 0 {
-		return s, fmt.Errorf("scenario: workers %d must not be negative", s.Workers)
+	if s.Workers < 0 || s.Workers > maxWorkers {
+		return s, fmt.Errorf("scenario: workers %d must be in [0, %d]", s.Workers, maxWorkers)
 	}
 	if s.App == "" {
 		s.App = "study"
@@ -199,6 +208,9 @@ func (s Scenario) Normalize() (Scenario, error) {
 	}
 	if tel.IntervalMS < 0 || tel.WindowTicks < 0 || tel.SLOTargetMS < 0 {
 		return s, fmt.Errorf("scenario: telemetry options must not be negative")
+	}
+	if tel.WindowTicks > maxWindowTicks {
+		return s, fmt.Errorf("scenario: telemetry window_ticks %d exceeds %d", tel.WindowTicks, maxWindowTicks)
 	}
 	// Converted anyway, a span whose nanoseconds overflow int64 would wrap
 	// to a negative time.Duration.

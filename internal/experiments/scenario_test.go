@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -141,6 +144,8 @@ func TestScenarioValidation(t *testing.T) {
 		{Budget: 1.5},
 		{Budget: -0.1},
 		{Workers: -1},
+		{Workers: maxWorkers + 1},
+		{Telemetry: &ScenarioTelemetry{WindowTicks: maxWindowTicks + 1}},
 		{App: "tiny"},
 		{MixA: ptr(1), Mix: map[string]float64{"A": 1}},
 		{Mix: map[string]float64{"Z": 1}},
@@ -179,3 +184,38 @@ func TestScenarioValidation(t *testing.T) {
 }
 
 func ptr(f float64) *float64 { return &f }
+
+// FuzzLoadScenario: any input loads to an error or to a scenario whose
+// Config either fails or builds — with the scenario's telemetry bound, as
+// the control plane and the CLIs run it — through engine.BuildE. Never a
+// panic.
+func FuzzLoadScenario(f *testing.F) {
+	seeds, _ := filepath.Glob("../../testdata/scenarios/*.json")
+	smoke, _ := filepath.Glob("../../testdata/service_smoke/scenario*.json")
+	seeds = append(seeds, smoke...)
+	if len(seeds) == 0 {
+		f.Fatal("no scenario seeds")
+	}
+	for _, path := range seeds {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := LoadScenario(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		cfg, err := s.Config()
+		if err != nil {
+			return
+		}
+		cfg.Telemetry = s.NewTelemetry()
+		if _, err := engine.BuildE(cfg); err != nil {
+			t.Fatalf("BuildE rejects the config of accepted scenario %s: %v", data, err)
+		}
+	})
+}

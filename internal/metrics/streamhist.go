@@ -68,6 +68,11 @@ func (h *StreamingHistogram) Add(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
+	h.record(d, histIndex(uint64(d)))
+}
+
+// record adds a non-negative sample d whose bucket is b.
+func (h *StreamingHistogram) record(d time.Duration, b int) {
 	if h.count == 0 || d < h.min {
 		h.min = d
 	}
@@ -75,7 +80,7 @@ func (h *StreamingHistogram) Add(d time.Duration) {
 		h.max = d
 	}
 	h.count++
-	h.counts[histIndex(uint64(d))]++
+	h.counts[b]++
 }
 
 // Count returns the number of recorded samples.
@@ -83,12 +88,6 @@ func (h *StreamingHistogram) Count() uint64 { return h.count }
 
 // Max returns the exact largest sample, or 0 when empty.
 func (h *StreamingHistogram) Max() time.Duration { return h.max }
-
-// Reset returns the histogram to its empty state without releasing its
-// (entirely inline) storage, so a recycled histogram records again with
-// zero allocations — the telemetry layer rotates sliding-window
-// sub-histograms through Reset every sampling tick.
-func (h *StreamingHistogram) Reset() { *h = StreamingHistogram{} }
 
 // Quantile returns the q-quantile (q in [0,1]) with the same linear
 // interpolation between order statistics as sim.Quantile, each order

@@ -5,84 +5,112 @@ import (
 	"time"
 )
 
-// WindowedHistogram is a sliding window of StreamingHistograms: samples
-// land in the current sub-histogram, Rotate retires the oldest, and every
-// query answers over the union of the live sub-histograms. The telemetry
-// sampler rotates one sub-histogram per sampling tick, so the window
-// always covers the last len(subs) ticks — "p95 over the last W seconds"
-// rather than since the start of the run.
+// WindowedHistogram is a sliding window over the last len(subs) ticks:
+// samples land in the current sub-window, Rotate retires the oldest, and
+// every query answers over the union of the live sub-windows. The
+// telemetry sampler rotates once per sampling tick, so the window always
+// covers the last len(subs) ticks — "p95 over the last W seconds" rather
+// than since the start of the run.
 //
-// Queries never materialize a merged histogram: quantiles resolve with a
-// single cumulative walk that sums bucket counts across sub-histograms on
-// the fly, so the steady-state path (Add, Rotate, Stats) is allocation-free.
+// The window keeps one union StreamingHistogram of every live sample, so a
+// query walks one histogram, not one per sub-window. Each sub-window
+// records only its samples' bucket indices and its exact min and max:
+// Rotate subtracts the retiring sub-window's buckets from the union, and
+// Clone and CopyFrom copy the union plus the live records, so their cost
+// grows with what the window holds, not with histBuckets × width. Add,
+// Rotate and Quantiles allocate nothing once each sub-window's record has
+// grown to its busiest tick.
 type WindowedHistogram struct {
-	subs []StreamingHistogram
-	cur  int
+	// union is exactly the StreamingHistogram of the samples in the live
+	// sub-windows, min and max included.
+	union StreamingHistogram
+	subs  []windowSub
+	cur   int
 }
 
-// NewWindowedHistogram returns a window of w sub-histograms (minimum 1).
+// windowSub is one tick's share of a window: the bucket of each sample
+// (histBuckets fits a uint16) and the exact extremes.
+type windowSub struct {
+	buckets  []uint16
+	min, max time.Duration
+}
+
+// NewWindowedHistogram returns a window of w sub-windows (minimum 1).
 func NewWindowedHistogram(w int) *WindowedHistogram {
 	if w < 1 {
 		w = 1
 	}
-	return &WindowedHistogram{subs: make([]StreamingHistogram, w)}
+	return &WindowedHistogram{subs: make([]windowSub, w)}
 }
 
-// Add records one sample into the current sub-histogram.
-func (h *WindowedHistogram) Add(d time.Duration) { h.subs[h.cur].Add(d) }
+// Add records one sample into the current sub-window. Negative durations
+// clamp to zero.
+func (h *WindowedHistogram) Add(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	b := histIndex(uint64(d))
+	s := &h.subs[h.cur]
+	switch {
+	case len(s.buckets) == 0:
+		s.min, s.max = d, d
+	case d < s.min:
+		s.min = d
+	case d > s.max:
+		s.max = d
+	}
+	s.buckets = append(s.buckets, uint16(b))
+	h.union.record(d, b)
+}
 
-// Rotate advances the window: the oldest sub-histogram is cleared and
-// becomes the new current one. After w rotations a sample has left the
-// window entirely.
+// Rotate advances the window: the oldest sub-window's samples leave the
+// union and it becomes the new, empty, current one. After w rotations a
+// sample has left the window entirely.
 func (h *WindowedHistogram) Rotate() {
 	h.cur = (h.cur + 1) % len(h.subs)
-	h.subs[h.cur].Reset()
-}
-
-// Count returns the number of samples in the window.
-func (h *WindowedHistogram) Count() uint64 {
-	var n uint64
-	for i := range h.subs {
-		n += h.subs[i].count
+	s := &h.subs[h.cur]
+	if len(s.buckets) == 0 {
+		return
 	}
-	return n
-}
-
-// Min returns the smallest sample in the window, or 0 when empty.
-func (h *WindowedHistogram) Min() time.Duration {
-	var min time.Duration
+	for _, b := range s.buckets {
+		h.union.counts[b]--
+	}
+	h.union.count -= uint64(len(s.buckets))
+	*s = windowSub{buckets: s.buckets[:0]}
+	h.union.min, h.union.max = 0, 0
 	seen := false
 	for i := range h.subs {
-		if h.subs[i].count == 0 {
+		s := &h.subs[i]
+		if len(s.buckets) == 0 {
 			continue
 		}
-		if !seen || h.subs[i].min < min {
-			min = h.subs[i].min
+		if !seen || s.min < h.union.min {
+			h.union.min = s.min
+		}
+		if s.max > h.union.max {
+			h.union.max = s.max
 		}
 		seen = true
 	}
-	return min
 }
 
+// Count returns the number of samples in the window.
+func (h *WindowedHistogram) Count() uint64 { return h.union.count }
+
+// Min returns the smallest sample in the window, or 0 when empty.
+func (h *WindowedHistogram) Min() time.Duration { return h.union.min }
+
 // Max returns the largest sample in the window, or 0 when empty.
-func (h *WindowedHistogram) Max() time.Duration {
-	var max time.Duration
-	for i := range h.subs {
-		if h.subs[i].count > 0 && h.subs[i].max > max {
-			max = h.subs[i].max
-		}
-	}
-	return max
-}
+func (h *WindowedHistogram) Max() time.Duration { return h.union.max }
 
 // maxWindowQuantiles bounds one Quantiles call (p50/p95/p99 plus headroom).
 const maxWindowQuantiles = 8
 
 // Quantiles resolves up to maxWindowQuantiles quantiles in one cumulative
-// walk, writing out[i] for qs[i]. The result of each quantile is identical
-// to one StreamingHistogram holding every sample in the window — the
-// property the unit tests pin — but without building that histogram. It
-// never allocates.
+// walk over the union, from the bucket of the window's minimum, writing
+// out[i] for qs[i]. Each result is identical to the union's own Quantile —
+// the property the unit tests pin — without a walk per quantile. It never
+// allocates.
 func (h *WindowedHistogram) Quantiles(qs []float64, out []time.Duration) {
 	if len(qs) > maxWindowQuantiles || len(out) < len(qs) {
 		panic("metrics: WindowedHistogram.Quantiles called with a bad shape")
@@ -127,13 +155,12 @@ func (h *WindowedHistogram) Quantiles(qs []float64, out []time.Duration) {
 				vals[j], vals[j-1] = vals[j-1], vals[j]
 			}
 		}
+		// No sample lies below the bucket of the window's minimum.
 		var cum uint64
 		next := 0
 	walk:
-		for i := 0; i < histBuckets; i++ {
-			for j := range h.subs {
-				cum += h.subs[j].counts[i]
-			}
+		for i := histIndex(uint64(min)); i < histBuckets; i++ {
+			cum += h.union.counts[i]
 			for next < nr && cum > ranks[next] {
 				// Same resolution as StreamingHistogram.valueAtRank: the
 				// top of the bucket, clamped to the observed maximum.
@@ -182,23 +209,36 @@ func (h *WindowedHistogram) Quantiles(qs []float64, out []time.Duration) {
 	}
 }
 
-// Clone returns an independent deep copy of the window: the sub-histograms
-// are value types, so copying the slice contents shares no state with the
-// parent — mutating either side never shows in the other.
+// Clone returns an independent deep copy of the window: the union is a
+// value and the live sub-window records are copied into one fresh backing
+// array, so mutating either side never shows in the other.
 func (h *WindowedHistogram) Clone() *WindowedHistogram {
-	return &WindowedHistogram{
-		subs: append([]StreamingHistogram(nil), h.subs...),
-		cur:  h.cur,
+	c := &WindowedHistogram{union: h.union, subs: make([]windowSub, len(h.subs)), cur: h.cur}
+	n := 0
+	for i := range h.subs {
+		n += len(h.subs[i].buckets)
 	}
+	buf := make([]uint16, n)
+	for i, s := range h.subs {
+		k := copy(buf, s.buckets)
+		c.subs[i] = windowSub{buckets: buf[:k:k], min: s.min, max: s.max}
+		buf = buf[k:]
+	}
+	return c
 }
 
-// CopyFrom overwrites this window's state with src's, without allocating
-// when the widths already match — the restore half of snapshot/restore.
-// It panics if the widths differ.
+// CopyFrom overwrites this window's state with src's, reusing this
+// window's record arrays where they are large enough — the restore half of
+// snapshot/restore. It panics if the widths differ.
 func (h *WindowedHistogram) CopyFrom(src *WindowedHistogram) {
 	if len(h.subs) != len(src.subs) {
 		panic("metrics: WindowedHistogram.CopyFrom with mismatched widths")
 	}
-	copy(h.subs, src.subs)
+	h.union = src.union
+	for i, s := range src.subs {
+		d := &h.subs[i]
+		d.buckets = append(d.buckets[:0], s.buckets...)
+		d.min, d.max = s.min, s.max
+	}
 	h.cur = src.cur
 }

@@ -24,7 +24,7 @@ func liveWindow(samples []time.Duration, width, per int) []time.Duration {
 	if len(samples) == 0 {
 		return nil
 	}
-	// The current sub-histogram holds the last partial batch; the other
+	// The current sub-window holds the last partial batch; the other
 	// width-1 subs hold the preceding full batches.
 	last := len(samples) % per
 	if last == 0 {
@@ -140,16 +140,56 @@ func TestWindowedHistogramHotPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestStreamingHistogramResetMerge covers Reset, the method Rotate
-// recycles sub-histograms with.
-func TestStreamingHistogramResetMerge(t *testing.T) {
-	var got StreamingHistogram
-	for _, d := range corpora()["lognormal"] {
-		got.Add(d)
-	}
-	got.Reset()
-	if got != (StreamingHistogram{}) {
-		t.Fatal("Reset must restore the zero value")
+// TestWindowedHistogramCloneAfterRotations pins Clone and CopyFrom on
+// windows whose sub-window records have wrapped several times: the window,
+// a clone taken mid-stream, and a diverged window restored from it with
+// CopyFrom each hold exactly the StreamingHistogram of the samples still in
+// the window, min and max included — at the copy, and at every tick after
+// it while the copied sub-windows retire one by one.
+func TestWindowedHistogramCloneAfterRotations(t *testing.T) {
+	samples := corpora()["lognormal"]
+	qs := []float64{0, 0.5, 0.95, 0.99, 1}
+	const per = 37
+	const cut = 11*per + 5 // eleven rotations, then part of a tick
+	for _, width := range []int{1, 3, 7} {
+		check := func(name string, win *WindowedHistogram, seen []time.Duration) {
+			t.Helper()
+			var ref StreamingHistogram
+			for _, d := range liveWindow(seen, width, per) {
+				ref.Add(d)
+			}
+			if win.union != ref {
+				t.Fatalf("w=%d %s after %d samples: union %d/%v/%v differs from a histogram of the live samples %d/%v/%v",
+					width, name, len(seen), win.Count(), win.Min(), win.Max(), ref.Count(), ref.min, ref.Max())
+			}
+			var out [maxWindowQuantiles]time.Duration
+			win.Quantiles(qs, out[:])
+			for i, q := range qs {
+				if want := ref.Quantile(q); out[i] != want {
+					t.Fatalf("w=%d %s after %d samples q=%v: %v, want %v", width, name, len(seen), q, out[i], want)
+				}
+			}
+		}
+		w := NewWindowedHistogram(width)
+		fillWindow(w, samples[:cut], per)
+		clone := w.Clone()
+		// A restore target whose records differ from w's in length and
+		// extremes.
+		restored := NewWindowedHistogram(width)
+		fillWindow(restored, samples[cut:cut+400], 3)
+		restored.CopyFrom(w)
+
+		end := cut + (width+2)*per
+		for name, win := range map[string]*WindowedHistogram{"window": w, "clone": clone, "restored": restored} {
+			check(name, win, samples[:cut])
+			for i := cut; i < end; i++ {
+				if i%per == 0 {
+					win.Rotate()
+				}
+				win.Add(samples[i])
+				check(name, win, samples[:i+1])
+			}
+		}
 	}
 }
 

@@ -11,21 +11,24 @@ import (
 // everywhere.
 const DefaultCapacity = 1 << 16
 
-// Recorder accumulates events in a fixed-size ring buffer. When the
-// buffer is full the oldest events are overwritten and counted as
-// dropped — recording never blocks or grows without bound.
+// Recorder accumulates events in a ring buffer bounded by its capacity.
+// The buffer grows on demand, so a run pays for the events it records,
+// not for the capacity; once it holds capacity events the oldest are
+// overwritten and counted as dropped — recording never blocks or grows
+// without bound.
 //
 // A Recorder is deliberately unsynchronized: one recorder belongs to one
 // simulation run, and the simulator is single-threaded. All methods are
 // nil-safe so instrumentation sites need no enabled-check; a nil *Recorder
 // is the disabled event layer.
 type Recorder struct {
-	buf     []Record
-	start   int // index of the oldest record
-	n       int // live records in buf
-	seq     uint64
-	dropped uint64
-	ledger  *Ledger // optional emit tee; hashes before ring wraparound
+	buf      []Record
+	capacity int // bound on len(buf)
+	start    int // index of the oldest record
+	n        int // live records in buf
+	seq      uint64
+	dropped  uint64
+	ledger   *Ledger // optional emit tee; hashes before ring wraparound
 	// prof, when non-nil, attributes emit cost (record build plus the
 	// ledger fold) to the encode phase. Wall-clock reads only — the
 	// recorded stream is byte-identical with or without it.
@@ -38,7 +41,7 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{buf: make([]Record, 0, capacity)}
+	return &Recorder{capacity: capacity}
 }
 
 // Emit records ev at simulation time at. Emitting on a nil recorder is a
@@ -54,7 +57,7 @@ func (r *Recorder) Emit(at sim.Time, ev Event) {
 	if r.ledger != nil {
 		r.ledger.fold(rec)
 	}
-	if r.n < cap(r.buf) {
+	if r.n < r.capacity {
 		r.buf = append(r.buf, rec)
 		r.n++
 		return

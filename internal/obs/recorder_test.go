@@ -106,11 +106,17 @@ func TestRecorderNilSafe(t *testing.T) {
 	}
 }
 
+// TestRecorderDefaultCapacity pins the bound a non-positive capacity
+// selects: the ring keeps DefaultCapacity records and drops the next.
 func TestRecorderDefaultCapacity(t *testing.T) {
-	if c := cap(NewRecorder(0).buf); c != DefaultCapacity {
-		t.Fatalf("default capacity = %d, want %d", c, DefaultCapacity)
-	}
-	if c := cap(NewRecorder(-5).buf); c != DefaultCapacity {
-		t.Fatalf("negative capacity = %d, want %d", c, DefaultCapacity)
+	for _, capacity := range []int{0, -5} {
+		r := NewRecorder(capacity)
+		for i := 0; i <= DefaultCapacity; i++ {
+			r.Emit(sim.Time(i), Restart{Service: "s", Node: "n"})
+		}
+		if r.Len() != DefaultCapacity || r.Dropped() != 1 {
+			t.Fatalf("capacity %d: Len=%d Dropped=%d after %d emits, want %d/1",
+				capacity, r.Len(), r.Dropped(), DefaultCapacity+1, DefaultCapacity)
+		}
 	}
 }

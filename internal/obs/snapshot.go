@@ -26,8 +26,8 @@ func (r *Recorder) Snapshot() *RecorderState {
 }
 
 // Restore rewinds the recorder. A nil recorder ignores a nil state; the
-// buffer is copied back into the recorder's own backing array, preserving
-// its fixed capacity.
+// buffer is copied back into the recorder's own backing array, which grows
+// only if the snapshot holds more records than it has room for.
 func (r *Recorder) Restore(s *RecorderState) {
 	if r == nil || s == nil {
 		return

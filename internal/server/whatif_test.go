@@ -39,45 +39,83 @@ func onSession(sess *session, f func(*session)) bool {
 	return <-c.done
 }
 
-// hold parks a running session at its first chunk boundary later than
-// after, and keeps serving its commands there, as the advance loop's
-// drain does, until release is closed. It returns the sim time the
-// session parked at.
-func hold(t *testing.T, sess *session, after sim.Time, release <-chan struct{}) sim.Time {
-	t.Helper()
+// park reports s's clock on parked, then serves s's commands on the
+// session goroutine, as the advance loop's drain does, until release is
+// closed.
+func park(s *session, parked chan<- sim.Time, release <-chan struct{}) {
+	parked <- sim.Time(s.simNow.Load())
 	for {
-		parked := make(chan sim.Time, 1)
-		ran := make(chan bool, 1)
-		go func() {
-			ran <- onSession(sess, func(s *session) {
-				if st, _ := s.getState(); st != StateRunning {
-					parked <- -1
-					return
-				}
-				now := sim.Time(s.simNow.Load())
-				if now <= after {
-					return // let it advance; the caller asks again
-				}
-				parked <- now
-				for {
-					select {
-					case cmd := <-s.cmds:
-						cmd.exec(s)
-					case <-release:
-						return
-					}
-				}
-			})
-		}()
 		select {
-		case at := <-parked:
-			if at < 0 {
-				t.Fatal("session finished before it could be held mid-run")
-			}
-			return at
-		case <-ran: // queued (no engine yet) or not past after: ask again
+		case cmd := <-s.cmds:
+			cmd.exec(s)
+		case <-release:
+			return
 		}
 	}
+}
+
+// createHeld creates a session from scenario and parks it at the first
+// chunk boundary its advance loop drains commands at, until release is
+// closed. It returns the session and the sim time it parked at. The
+// session is created while the test takes every concurrency slot, and the
+// test's goroutine frees them only just before it sends its look, so the
+// session cannot start its run, let alone finish it, before a look is
+// waiting for it.
+func createHeld(t *testing.T, srv *Server, ts *httptest.Server, scenario string, release <-chan struct{}) (string, sim.Time) {
+	t.Helper()
+	for i := 0; i < cap(srv.sem); i++ {
+		srv.sem <- struct{}{}
+	}
+	id := createSession(t, ts, scenario)
+	sess := srv.lookup(id)
+	parked := make(chan sim.Time, 1)
+	finished := false
+	look := func(s *session) {
+		if st, _ := s.getState(); st != StateRunning {
+			finished = true
+			return
+		}
+		park(s, parked, release)
+	}
+	for i := 0; i < cap(srv.sem); i++ {
+		<-srv.sem
+	}
+	for {
+		c := sessionFunc{f: look, done: make(chan bool, 1)}
+		sess.cmds <- c
+		select {
+		case at := <-parked:
+			return id, at
+		case <-c.done: // still queued, with no engine yet: ask again
+			if finished {
+				t.Fatal("session finished before it could be held mid-run")
+			}
+		}
+	}
+}
+
+// stepHeld advances a session parked by createHeld to its next chunk
+// boundary and parks it there, inside the first park, until release is
+// closed. It runs one step of the advance loop on the session goroutine:
+// resume the live run after the held what-ifs' detours, run one chunk,
+// publish the clock. Once released, the loop finds the engine already at
+// that boundary and carries on from it. A test that instead raced the
+// loop to a later boundary would fail whenever the session ran its
+// remaining chunks before the test's goroutine was scheduled again.
+func stepHeld(t *testing.T, sess *session, release <-chan struct{}) sim.Time {
+	t.Helper()
+	parked := make(chan sim.Time, 1)
+	onStep := func(s *session) {
+		if err := s.resumeLive(); err != nil {
+			t.Errorf("resume before the step: %v", err)
+		}
+		next := min(sim.Time(s.simNow.Load())+advanceChunk, s.res.Total())
+		s.res.Engine.RunUntil(next)
+		s.simNow.Store(int64(next))
+		park(s, parked, release)
+	}
+	sess.cmds <- sessionFunc{f: onStep, done: make(chan bool, 1)}
+	return <-parked
 }
 
 // oracleWhatIf answers q on o with the four-stretch protocol the control
@@ -224,19 +262,20 @@ func TestWhatIfMatchesFourStretchOracle(t *testing.T) {
 
 	// Cancelled mid-run without a detour: its first what-if finishes the
 	// live run as the baseline.
-	cancelled := createSession(t, ts, gridScenario)
 	release := make(chan struct{})
-	hold(t, srv.lookup(cancelled), 0, release)
+	cancelled, _ := createHeld(t, srv, ts, gridScenario, release)
 	doReq(t, "POST", ts.URL+"/sessions/"+cancelled+"/cancel", "")
 	close(release)
 	waitState(t, ts, cancelled, StateCancelled)
 	askGrid(t, ts, cancelled, grid, readLive(t, ts, cancelled))
 
-	// Running: held at two chunk boundaries, half the grid at each. Each
-	// hold ends on an early fork with a clamp, a detour that rewrites the
-	// whole run, and the run then advances past it to the same end as
-	// the done session; its stream never repeats or rewinds a sample.
-	running := createSession(t, ts, gridScenario)
+	// Running: held at two chunk boundaries, half the grid at each, and
+	// stepped from the first to the second. Each hold ends on an early
+	// fork with a clamp, a detour that rewrites the whole run, and the run
+	// then advances past it to the same end as the done session; its
+	// stream never repeats or rewinds a sample.
+	release = make(chan struct{})
+	running, parked := createHeld(t, srv, ts, gridScenario, release)
 	stream := make(chan []float64, 1)
 	go func() {
 		resp, err := http.Get(ts.URL + "/sessions/" + running + "/stream")
@@ -258,18 +297,16 @@ func TestWhatIfMatchesFourStretchOracle(t *testing.T) {
 		}
 		stream <- seen
 	}()
-	sess := srv.lookup(running)
-	var parked sim.Time
 	early := grid[1]
 	if early.q.AtS != 0 || early.q.MaxFreqGHz == 0 {
 		t.Fatalf("grid[1] is %+v, want the clamp at t=0", early.q)
 	}
-	for _, half := range [][]gridPoint{grid[:len(grid)/2], grid[len(grid)/2:]} {
-		release := make(chan struct{})
-		parked = hold(t, sess, parked, release)
-		askGrid(t, ts, running, append(slices.Clip(half), early), readLive(t, ts, running))
-		close(release)
+	askGrid(t, ts, running, append(slices.Clip(grid[:len(grid)/2]), early), readLive(t, ts, running))
+	if next := stepHeld(t, srv.lookup(running), release); next <= parked {
+		t.Fatalf("stepped from t=%v to t=%v", parked, next)
 	}
+	askGrid(t, ts, running, append(slices.Clip(grid[len(grid)/2:]), early), readLive(t, ts, running))
+	close(release)
 	waitState(t, ts, running, StateDone)
 	if got := readLive(t, ts, running); got.result != final.result || got.ledger != final.ledger || got.explain != final.explain {
 		t.Fatal("a session with mid-run what-ifs finished differently from one without")

@@ -39,7 +39,7 @@ func (t *Telemetry) Snapshot() *State {
 		all:           t.all.Clone(),
 		regions:       make([]*metrics.WindowedHistogram, len(t.regions)),
 		services:      make([]*metrics.WindowedHistogram, len(t.services)),
-		rows:          make([]Sample, 0, t.n),
+		rows:          t.Samples(),
 		start:         t.start,
 		n:             t.n,
 		dropped:       t.dropped,
@@ -57,17 +57,14 @@ func (t *Telemetry) Snapshot() *State {
 	for i, w := range t.services {
 		s.services[i] = w.Clone()
 	}
-	for i := 0; i < t.n; i++ {
-		s.rows = append(s.rows, cloneSample(&t.samples[(t.start+i)%len(t.samples)]))
-	}
 	return s
 }
 
-// Restore rewinds the instance. Every ring row outside the snapshot's live
-// set is reset to pristine zero (rows are overwritten in place, and some
-// row fields — ZoneW, MCF — are only written when their feature flag is
-// set, so a dirty row would otherwise leak post-snapshot values into a
-// later wraparound or CSV export).
+// Restore rewinds the instance. Every ring row written since the snapshot
+// and outside its live set is reset to pristine zero (rows are overwritten
+// in place, and some row fields — ZoneW, MCF — are only written when their
+// feature flag is set, so a dirty row would otherwise leak post-snapshot
+// values into a later wraparound or CSV export).
 func (t *Telemetry) Restore(s *State) {
 	t.all.CopyFrom(s.all)
 	for i, w := range t.regions {
@@ -76,7 +73,11 @@ func (t *Telemetry) Restore(s *State) {
 	for i, w := range t.services {
 		w.CopyFrom(s.services[i])
 	}
-	for i := range t.samples {
+	// t.n is the ring's high-water mark: until the ring wraps, its live
+	// rows are [0, n) and every row past them is pristine. So the dirty
+	// rows outside the snapshot are [s.n, t.n); a snapshot of a wrapped
+	// ring holds every row, and the copy below overwrites them all.
+	for i := s.n; i < t.n; i++ {
 		resetRow(&t.samples[i])
 	}
 	t.start = s.start
@@ -95,8 +96,8 @@ func (t *Telemetry) Restore(s *State) {
 	t.totalSpans = s.totalSpans
 }
 
-// resetRow zeroes a ring row in place, preserving its preallocated
-// Regions/Services/MCF backing arrays.
+// resetRow zeroes a ring row in place, preserving its Regions/Services/MCF
+// backing arrays.
 func resetRow(r *Sample) {
 	reg, svc, mcf := r.Regions, r.Services, r.MCF
 	*r = Sample{}

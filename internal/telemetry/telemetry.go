@@ -96,6 +96,8 @@ type Options struct {
 	WindowTicks int
 	// Capacity bounds the retained sample ring; 0 defaults to 4096 rows
 	// (over an hour at the default interval). Older rows are overwritten.
+	// The ring holds only the rows a run samples: Bind sizes it to the
+	// bound run's end, and it grows past that up to Capacity.
 	Capacity int
 	// AlertCapacity bounds the alert recorder; 0 defaults to 4096.
 	AlertCapacity int
@@ -147,6 +149,11 @@ type Bindings struct {
 	Now func() sim.Time
 	// Scheme names the power-management policy of the run.
 	Scheme string
+	// End is the simulated time the run is configured to end at, or 0
+	// when unknown. Bind presizes the sample ring for the ticks up to End
+	// (all Options.Capacity rows when 0); a run that samples longer grows
+	// the ring up to Capacity.
+	End time.Duration
 	// Regions and Services fix the per-series layout; Sample.Regions[i]
 	// corresponds to Regions[i]. Order must be deterministic.
 	Regions  []string
@@ -178,9 +185,9 @@ type SeriesStats struct {
 	P50, P95, P99 time.Duration
 }
 
-// Sample is one sampling tick's full capture. Rows live in a
-// preallocated ring and are overwritten in place; Samples() returns
-// copies.
+// Sample is one sampling tick's full capture. Rows live in a ring sized
+// to the run and are overwritten in place once it holds
+// Options.Capacity rows; Samples() returns copies.
 type Sample struct {
 	At sim.Time
 	// Cluster power: draw, cap, cap-draw, and mean utilization.
@@ -281,9 +288,10 @@ func (t *Telemetry) SetProfiler(p *prof.Profiler) { t.prof = p }
 // attaching telemetry never changes the controller event stream.
 func (t *Telemetry) Alerts() *obs.Recorder { return t.alerts }
 
-// Bind attaches the instance to one run, allocating every buffer the
-// sampling path will reuse. A Telemetry binds exactly once; reusing an
-// instance across runs is an error (its windows would carry stale data).
+// Bind attaches the instance to one run, allocating the buffers the
+// sampling path reuses: the windows, and a sample ring sized to the run's
+// end. A Telemetry binds exactly once; reusing an instance across runs is
+// an error (its windows would carry stale data).
 func (t *Telemetry) Bind(b Bindings) error {
 	if t.bound {
 		return errors.New("telemetry: instance already bound to a run")
@@ -309,12 +317,11 @@ func (t *Telemetry) Bind(b Bindings) error {
 		t.serviceIdx[s] = i
 	}
 
-	t.samples = make([]Sample, t.opt.Capacity)
-	for i := range t.samples {
-		t.samples[i].Regions = make([]SeriesStats, len(b.Regions))
-		t.samples[i].Services = make([]SeriesStats, len(b.Services))
-		t.samples[i].MCF = make([]float64, len(b.Services))
+	rows := t.opt.Capacity
+	if ticks := b.End / t.opt.Interval; b.End > 0 && ticks < time.Duration(rows) {
+		rows = int(ticks) + 1
 	}
+	t.samples = t.newRows(rows)
 
 	t.alerts = obs.NewRecorder(t.opt.AlertCapacity)
 	// Monitored series: the all-regions aggregate plus each region.
@@ -336,18 +343,50 @@ func (t *Telemetry) ObserveResponse(region string, resp time.Duration) {
 	}
 }
 
-// ObserveServiceExec feeds one span's execution time into its service's
-// latency window (wired to trace.Collector.OnSpan).
-func (t *Telemetry) ObserveServiceExec(service string, exec time.Duration) {
+// ObserveSpan feeds one span's execution time into its service's latency
+// window (wired to trace.Collector.OnSpan). id is the service's index in
+// Bindings.Services; when it names another service, the window is found
+// by name.
+func (t *Telemetry) ObserveSpan(service string, id int, exec time.Duration) {
 	t.totalSpans++
-	if i, ok := t.serviceIdx[service]; ok {
+	if uint(id) < uint(len(t.services)) && t.b.Services[id] == service {
+		t.services[id].Add(exec)
+	} else if i, ok := t.serviceIdx[service]; ok {
 		t.services[i].Add(exec)
 	}
 }
 
-// nextRow returns the ring slot for the next sample, overwriting the
-// oldest row once the ring is full.
+// ObserveServiceExec is ObserveSpan for a caller that knows only the
+// service's name.
+func (t *Telemetry) ObserveServiceExec(service string, exec time.Duration) {
+	t.ObserveSpan(service, -1, exec)
+}
+
+// newRows returns n zeroed sample rows for the bound layout, their
+// Regions, Services and MCF slices carved out of one backing array per
+// field.
+func (t *Telemetry) newRows(n int) []Sample {
+	nr, ns := len(t.b.Regions), len(t.b.Services)
+	rows := make([]Sample, n)
+	reg := make([]SeriesStats, n*nr)
+	svc := make([]SeriesStats, n*ns)
+	mcf := make([]float64, n*ns)
+	for i := range rows {
+		rows[i].Regions = reg[i*nr : (i+1)*nr : (i+1)*nr]
+		rows[i].Services = svc[i*ns : (i+1)*ns : (i+1)*ns]
+		rows[i].MCF = mcf[i*ns : (i+1)*ns : (i+1)*ns]
+	}
+	return rows
+}
+
+// nextRow returns the ring slot for the next sample. A full ring below
+// Options.Capacity doubles (it has never wrapped, so its rows are in
+// order from index 0); at Capacity the oldest row is overwritten.
 func (t *Telemetry) nextRow() *Sample {
+	if t.n == len(t.samples) && t.n < t.opt.Capacity {
+		grow := min(t.n, t.opt.Capacity-t.n)
+		t.samples = append(t.samples, t.newRows(grow)...)
+	}
 	var idx int
 	if t.n < len(t.samples) {
 		idx = (t.start + t.n) % len(t.samples)
@@ -443,11 +482,11 @@ func (t *Telemetry) Sample() {
 func (t *Telemetry) Len() int { return t.n }
 
 // Samples returns the retained samples oldest-first. Rows are deep
-// copies; this is the offline export path and allocates freely.
+// copies; this is the offline export path.
 func (t *Telemetry) Samples() []Sample {
-	out := make([]Sample, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		out = append(out, cloneSample(&t.samples[(t.start+i)%len(t.samples)]))
+	out := t.newRows(t.n)
+	for i := range out {
+		copyRowInto(&out[i], &t.samples[(t.start+i)%len(t.samples)])
 	}
 	return out
 }

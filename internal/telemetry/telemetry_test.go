@@ -70,10 +70,17 @@ type harness struct {
 
 func newHarness(t *testing.T, opt Options, probe *fakeProbe) *harness {
 	t.Helper()
+	return bindHarness(t, opt, probe, 0)
+}
+
+// bindHarness is newHarness for a run configured to end at end.
+func bindHarness(t *testing.T, opt Options, probe *fakeProbe, end time.Duration) *harness {
+	t.Helper()
 	h := &harness{tel: New(opt), cap: 300, probe: probe}
 	b := Bindings{
 		Now:      func() sim.Time { return h.now },
 		Scheme:   "ServiceFridge",
+		End:      end,
 		Regions:  []string{"A", "B"},
 		Services: []string{"route", "ticketinfo"},
 		Cluster: func() (float64, float64, float64, bool) {

@@ -140,8 +140,9 @@ type Collector struct {
 	// OnSpan and OnFinish, when non-nil, are invoked synchronously from
 	// AddSpan and FinishTrace respectively — the live-telemetry taps. They
 	// observe the same values the collector records and must not call back
-	// into the collector.
-	OnSpan   func(s Span)
+	// into the collector. OnSpan gets the span's service, its ServiceID and
+	// its execution time.
+	OnSpan   func(service string, id int, exec time.Duration)
 	OnFinish func(region string, resp time.Duration)
 
 	// slab batches Trace allocations.
@@ -260,7 +261,7 @@ func (c *Collector) AddSpan(t *Trace, s Span) {
 		tl.exec = append(tl.exec, s.Exec())
 	}
 	if c.OnSpan != nil {
-		c.OnSpan(s)
+		c.OnSpan(s.Service, s.ServiceID, s.Exec())
 	}
 }
 

@@ -89,7 +89,7 @@ func TestKeepSpansFalseDropsSpans(t *testing.T) {
 		c := NewCollector()
 		c.KeepSpans = keep
 		tapped := 0
-		c.OnSpan = func(Span) { tapped++ }
+		c.OnSpan = func(string, int, time.Duration) { tapped++ }
 		tr := c.StartTrace("A", ms(0))
 		c.AddSpan(tr, Span{Service: "s", Submit: ms(0), Start: ms(0), End: ms(1)})
 		if got := len(tr.Spans); keep != (got == 1) {
